@@ -8,8 +8,8 @@ planner trace bit-for-bit. Two dialects: "csv" (comma) and "text"
 
 from __future__ import annotations
 
+import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -41,14 +41,18 @@ def _write_table(path, header: list[str], rows, fmt: str) -> None:
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise ScenarioError(f"empty trace file {path}")
-    delim = "," if "," in text[0] else None
-    header = [c.strip() for c in (text[0].split(",") if delim else text[0].split())]
-    data = np.array([[float(v) for v in (line.split(",") if delim else line.split())]
-                     for line in text[1:]], dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(header):
+    with open(path) as fh:  # streamed: no whole-file string, no per-row float lists
+        lines = (line for line in fh if line.strip())
+        first, second = next(lines, ""), next(lines, "")
+        if not second:
+            raise ScenarioError(f"{'malformed' if first else 'empty'} trace file {path}")
+        header = first.replace(",", " ").split()
+        try:  # np.loadtxt parses each field exactly as float() does
+            data = np.loadtxt(itertools.chain([second], lines), comments=None, ndmin=2,
+                              delimiter="," if "," in first else None)
+        except ValueError:  # a non-numeric field, or rows of unequal length
+            raise ScenarioError(f"malformed trace file {path}") from None
+    if data.shape[1] != len(header):
         raise ScenarioError(f"malformed trace file {path}")
     return header, data
 

@@ -19,6 +19,7 @@ Two scaling modes build the quadratic term:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,13 @@ def assemble_problem(rows: CompositeRows, s_desired: np.ndarray,
                      bounds: tuple[float, float], zeta: float = 1e-6,
                      scaling: str = "consistent") -> QpProblem:
     """Build H, k and the constraint blocks for one trajectory sample."""
-    if zeta <= 0.0:
-        raise ScenarioError("zeta must be positive")
+    if not 0.0 < zeta < math.inf:
+        raise ScenarioError("zeta must be positive and finite")
     if scaling not in SCALING_MODES:
         raise ScenarioError(f"unknown scaling mode {scaling!r}")
     alpha_min, alpha_max = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)):
+        raise ScenarioError(f"alpha bounds must be finite, got [{alpha_min}, {alpha_max}]")
     if alpha_min > alpha_max:
         raise ScenarioError(f"infeasible alpha bounds: {alpha_min} > {alpha_max}")
     s_desired = np.asarray(s_desired, dtype=float)

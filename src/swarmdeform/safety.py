@@ -199,17 +199,11 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     flat = int(np.argmin(margins))
     worst_idx, worst_cell = divmod(flat, n_cells)
 
-    distance_trace = np.empty(n)
-    min_distance = np.inf
-    min_pair = (0, 0)
-    min_index = 0
-    for i in range(n):
-        d, pair = min_pairwise_distance(positions[i])
-        distance_trace[i] = d
-        if d < min_distance:
-            min_distance = d
-            min_pair = pair
-            min_index = i
+    sweeps = [min_pairwise_distance(sample) for sample in positions]
+    distance_trace = np.array([d for d, _ in sweeps])
+    # argmin returns the first nan, so a non-finite sample fails the gate
+    min_index = int(np.argmin(distance_trace))
+    min_distance, min_pair = sweeps[min_index]
     threshold = clearance if positions_kind == "desired" else 2.0 * team.safety.epsilon
     distance_ok = bool(min_distance >= threshold - margin_tol)
 

@@ -114,8 +114,8 @@ class SimLog:
 
 
 def time_grid(duration: float, dt: float) -> np.ndarray:
-    if dt <= 0.0 or duration <= 0.0:
-        raise ScenarioError("duration and dt must be positive")
+    if not (0.0 < dt < np.inf and 0.0 < duration < np.inf):
+        raise ScenarioError("duration and dt must be positive and finite")
     n = int(round(duration / dt))
     if abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
         raise ScenarioError(f"dt {dt} does not divide duration {duration}")

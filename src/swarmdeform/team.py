@@ -112,10 +112,20 @@ class TeamConfiguration:
             raise ScenarioError(f"unknown agent id {agent_id}")
         return self.positions[agent_id - 1]
 
+    @property
+    def cell_vertices(self) -> np.ndarray:
+        """Positions of every cell's (core, a, b) vertices, shape (n_cells, 3, 3)."""
+        ids = np.array([cell.vertices for cell in self.cells], dtype=int).reshape(-1, 3)
+        return self.positions[ids - 1]
+
     def cell(self, cell_id: int) -> TriangleCell:
         if not 1 <= cell_id <= len(self.cells):
             raise ScenarioError(f"unknown cell id {cell_id}")
         return self.cells[cell_id - 1]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=-1)
 
 
 def projected_weights(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray,
@@ -124,23 +134,36 @@ def projected_weights(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray,
 
     The weighted vertex combination reproduces the in-plane component of
     `point`; one iterative-refinement pass keeps the reconstruction at
-    roundoff level. Weights sum to 1 exactly by construction of w0.
+    roundoff level. Weights sum to 1 exactly by construction of w0. All
+    arguments broadcast over leading axes; the result has shape (..., 3).
     """
     e1 = v1 - v0
     e2 = v2 - v0
     q = point - v0
-    g11 = float(e1 @ e1)
-    g22 = float(e2 @ e2)
-    g12 = float(e1 @ e2)
+    g11 = _dot(e1, e1)
+    g22 = _dot(e2, e2)
+    g12 = _dot(e1, e2)
     det = g11 * g22 - g12 * g12
-    if det <= 1e-12 * g11 * g22 or g11 == 0.0 or g22 == 0.0:
+    if np.any((det <= 1e-12 * g11 * g22) | (g11 == 0.0) | (g22 == 0.0)):
         raise ScenarioError("degenerate cell: vertices are collinear")
-    w1 = (g22 * float(e1 @ q) - g12 * float(e2 @ q)) / det
-    w2 = (g11 * float(e2 @ q) - g12 * float(e1 @ q)) / det
-    r = q - w1 * e1 - w2 * e2
-    w1 += (g22 * float(e1 @ r) - g12 * float(e2 @ r)) / det
-    w2 += (g11 * float(e2 @ r) - g12 * float(e1 @ r)) / det
-    return np.array([1.0 - w1 - w2, w1, w2])
+    w1 = (g22 * _dot(e1, q) - g12 * _dot(e2, q)) / det
+    w2 = (g11 * _dot(e2, q) - g12 * _dot(e1, q)) / det
+    r = q - w1[..., None] * e1 - w2[..., None] * e2
+    w1 += (g22 * _dot(e1, r) - g12 * _dot(e2, r)) / det
+    w2 += (g11 * _dot(e2, r) - g12 * _dot(e1, r)) / det
+    return np.stack([1.0 - w1 - w2, w1, w2], axis=-1)
+
+
+def cell_coordinates(vertices: np.ndarray, points) -> np.ndarray:
+    """Weights (..., n_cells, 3) of points (..., 3) over cells with vertices (n_cells, 3, 3)."""
+    points = np.asarray(points, dtype=float)[..., None, :]
+    return projected_weights(vertices[:, 0], vertices[:, 1], vertices[:, 2], points)
+
+
+def enclosing_cells(weights: np.ndarray) -> np.ndarray:
+    """Index of the lowest-id cell holding each point of `cell_coordinates`, else -1."""
+    inside = np.all(weights >= -CONTAINMENT_TOL, axis=-1)
+    return np.where(inside.any(axis=-1), inside.argmax(axis=-1), -1)
 
 
 def cell_vertex_positions(team: TeamConfiguration, cell: TriangleCell) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,22 +184,16 @@ def build_cells(partition: LayerPartition, positions: np.ndarray,
     belongs to every cell containing it, so each cell's p_min accounts for
     all agents that can collide inside it.
     """
-    n_pl = partition.n_pl
-    core = positions[n_pl - 1]
-    n_agents = positions.shape[0]
+    fan = _fan_vertices(partition.n_pl)
+    members_of = explicit_members
+    if members_of is None:
+        inside = np.all(cell_coordinates(positions[np.array(fan) - 1], positions)
+                        >= -CONTAINMENT_TOL, axis=-1)
+        members_of = {c + 1: (np.flatnonzero(col) + 1).tolist()
+                      for c, col in enumerate(inside.T)}
     cells = []
-    for cell_id, verts in enumerate(_fan_vertices(n_pl), start=1):
-        _, va, vb = verts
-        if explicit_members is not None:
-            members = tuple(sorted(explicit_members.get(cell_id, [])))
-        else:
-            members = []
-            for agent in range(1, n_agents + 1):
-                w = projected_weights(core, positions[va - 1], positions[vb - 1],
-                                      positions[agent - 1])
-                if np.all(w >= -CONTAINMENT_TOL):
-                    members.append(agent)
-            members = tuple(members)
+    for cell_id, verts in enumerate(fan, start=1):
+        members = tuple(sorted(members_of.get(cell_id, [])))
         if len(members) < 2:
             raise ScenarioError(f"cell {cell_id} has fewer than 2 members")
         p_min = float(pdist(positions[[m - 1 for m in members]]).min())
@@ -187,12 +204,10 @@ def build_cells(partition: LayerPartition, positions: np.ndarray,
 def enclosing_triangle(team: TeamConfiguration, point: np.ndarray) -> TriangleCell:
     """Lowest-id cell whose projected barycentric weights contain `point`."""
     point = np.asarray(point, dtype=float)
-    for cell in team.cells:
-        v0, v1, v2 = cell_vertex_positions(team, cell)
-        w = projected_weights(v0, v1, v2, point)
-        if np.all(w >= -CONTAINMENT_TOL):
-            return cell
-    raise ScenarioError(f"point {point.tolist()} is outside the leading polygon")
+    index = int(enclosing_cells(cell_coordinates(team.cell_vertices, point)))
+    if index < 0:
+        raise ScenarioError(f"point {point.tolist()} is outside the leading polygon")
+    return team.cells[index]
 
 
 def triangle_min_separation(team: TeamConfiguration, cell_id: int) -> float:
@@ -287,18 +302,14 @@ def validate_team(team: TeamConfiguration) -> ValidationReport:
 
     # agents off their cell plane break the identity deformation (weights only
     # reproduce the projected point)
-    off_plane = []
-    for agent in range(1, n + 1):
-        pos = team.positions[agent - 1]
-        try:
-            cell = enclosing_triangle(team, pos)
-        except ScenarioError:
-            continue
-        v0, v1, v2 = cell_vertex_positions(team, cell)
-        w = projected_weights(v0, v1, v2, pos)
-        recon = v0 + w[1] * (v1 - v0) + w[2] * (v2 - v0)
-        if np.linalg.norm(recon - pos) > 1e-9 * (1.0 + np.linalg.norm(pos)):
-            off_plane.append(agent)
+    verts = team.cell_vertices
+    weights = cell_coordinates(verts, team.positions)
+    index = enclosing_cells(weights)
+    agents = np.flatnonzero(index >= 0)
+    recon = np.einsum("ij,ijk->ik", weights[agents, index[agents]], verts[index[agents]])
+    pos = team.positions[agents]
+    off = np.linalg.norm(recon - pos, axis=1) > 1e-9 * (1.0 + np.linalg.norm(pos, axis=1))
+    off_plane = (agents[off] + 1).tolist()
     if off_plane:
         warnings.append(
             f"agents {off_plane} sit off their cell plane; the hierarchy only "

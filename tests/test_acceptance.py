@@ -118,16 +118,17 @@ def test_nominal_position_tracks_composite_rows(helix_scenario, helix_weights,
 
 
 def test_weight_hierarchy_is_convex_combination(helix_team, helix_weights):
-    row_dev = max(float(np.max(np.abs(m.sum(axis=1) - 1.0)))
-                  for m in helix_weights.matrices)
-    in_range = all(bool(np.all(m >= 0.0) and np.all(m <= 1.0))
-                   for m in helix_weights.matrices)
+    c = helix_weights.composite
+    row_dev = float(np.max(np.abs(c.sum(axis=1) - 1.0)))
+    in_range = bool(np.all(c >= 0.0) and np.all(c <= 1.0))
+    supports = int(np.count_nonzero(c, axis=1).max())
     hull = ConvexHull(helix_team.leader_positions)
     signed = helix_team.positions @ hull.equations[:, :3].T + hull.equations[:, 3]
     hull_dev = float(signed.max())
-    ok = row_dev <= 1e-12 and in_range and hull_dev <= 1e-9
+    ok = row_dev <= 1e-12 and in_range and supports <= 3 and hull_dev <= 1e-9
     _report("weight hierarchy", ok,
             f"row-sum deviation {row_dev:.2e} (tol 1e-12), entries in [0, 1], "
+            f"at most {supports} supports per row (max 3), "
             f"hull containment {hull_dev:.2e} (tol 1e-09)")
 
 

@@ -139,3 +139,51 @@ def test_validation_warnings_go_to_stderr(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 0
     assert "off their cell plane" in captured.err
+
+
+def _planner_trace_with_nan_shift(tmp_path, every_sample):
+    trace = tmp_path / "plan.csv"
+    assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
+    lines = trace.read_text().splitlines()
+    column = lines[0].split(",").index("s_x")
+    for i in range(1, len(lines)) if every_sample else [20]:
+        fields = lines[i].split(",")
+        fields[column] = "nan"
+        lines[i] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    return trace
+
+
+@pytest.mark.parametrize("which", ["every-sample", "one-sample"])
+def test_certify_nan_shift_is_unsafe(capsys, tmp_path, which):
+    trace = _planner_trace_with_nan_shift(tmp_path, which == "every-sample")
+    capsys.readouterr()
+    code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("UNSAFE:")
+    assert "distance nan" in captured.out
+
+
+def test_certify_malformed_trace_exit_code(capsys, tmp_path):
+    trace = tmp_path / "plan.csv"
+    trace.write_text("t,alpha_1,alpha_2,alpha_3,alpha_4,alpha_5,s_x,s_y,s_z,objective,kkt\n"
+                     "0,1,1,1,1,0,abc,0,0,0,0\n")
+    code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "malformed trace file" in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dt", "nan"], "must be positive and finite"),
+    (["--T", "inf"], "must be positive and finite"),
+    (["--alpha-min", "nan"], "alpha bounds must be finite"),
+    (["--alpha-max", "inf"], "alpha bounds must be finite"),
+])
+def test_non_finite_overrides_exit_code(capsys, flags, message):
+    code = main(["plan", "--config", SQUARE] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""

@@ -8,20 +8,13 @@ from swarmdeform.scenario import WeightsSettings
 
 
 def assert_stochastic_structure(team, weights):
-    for k, matrix in enumerate(weights.matrices, start=2):
-        prev_ids = weights.layer_ids[k - 2]
-        cur_ids = weights.layer_ids[k - 1]
-        assert matrix.shape == (len(cur_ids), len(prev_ids))
-        assert np.all(matrix >= 0.0) and np.all(matrix <= 1.0)
-        assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
-        col = {agent: j for j, agent in enumerate(prev_ids)}
-        for i, agent in enumerate(cur_ids):
-            if agent in col:
-                expected = np.zeros(len(prev_ids))
-                expected[col[agent]] = 1.0
-                assert np.array_equal(matrix[i], expected)
-            else:
-                assert np.count_nonzero(matrix[i]) <= 3
+    c = weights.composite
+    assert c.shape == (team.n_agents, team.n_pl)
+    assert np.all(c >= 0.0) and np.all(c <= 1.0)
+    assert np.max(np.abs(c.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
+    # first-layer agents are their own leaders; deeper rows have at most 3 supports
+    assert np.array_equal(c[: team.n_pl], np.eye(team.n_pl))
+    assert np.all(np.count_nonzero(c[team.n_pl:], axis=1) <= 3)
 
 
 def test_square_weight_structure(square_team, square_weights):
@@ -111,26 +104,46 @@ def test_trajectory_positions_stacks_forward_pass(square_team, square_weights):
             stacked[i], sd.forward_pass(square_team, square_weights, alphas[i], shifts[i]))
 
 
+EXPLICIT_SQUARE = WeightsSettings(
+    mode="explicit",
+    matrices=(
+        (2, {6: {5: 0.25, 1: 0.375, 2: 0.375},
+             7: {5: 0.25, 2: 0.375, 3: 0.375},
+             8: {5: 0.25, 3: 0.375, 4: 0.375},
+             9: {5: 0.25, 4: 0.375, 1: 0.375}}),
+        (3, {10: {1: 0.5, 6: 0.5},
+             11: {2: 0.5, 7: 0.5},
+             12: {3: 0.5, 8: 0.5},
+             13: {4: 0.5, 9: 0.5}}),
+    ))
+
+
 def test_explicit_weights_round_trip(square_team, square_weights):
-    settings = WeightsSettings(
-        mode="explicit",
-        matrices=(
-            (2, {6: {5: 0.25, 1: 0.375, 2: 0.375},
-                 7: {5: 0.25, 2: 0.375, 3: 0.375},
-                 8: {5: 0.25, 3: 0.375, 4: 0.375},
-                 9: {5: 0.25, 4: 0.375, 1: 0.375}}),
-            (3, {10: {1: 0.5, 6: 0.5},
-                 11: {2: 0.5, 7: 0.5},
-                 12: {3: 0.5, 8: 0.5},
-                 13: {4: 0.5, 9: 0.5}}),
-        ))
-    weights = sd.build_layer_weights(square_team, settings)
+    weights = sd.build_layer_weights(square_team, EXPLICIT_SQUARE)
     assert_stochastic_structure(square_team, weights)
     # layer 2 rows coincide with the auto barycentric derivation
-    assert np.max(np.abs(weights.matrices[0] - square_weights.matrices[0])) < 1e-15
+    assert np.max(np.abs(weights.composite[5:9] - square_weights.composite[5:9])) < 1e-15
     alpha = np.array([0.8, 0.9, 1.0, 1.1, 1.0])
     desired = sd.forward_pass(square_team, weights, alpha, np.array([1.0, -2.0, 0.5]))
     assert np.allclose(desired[9], 0.5 * desired[0] + 0.5 * desired[5], atol=1e-15)
+
+
+def test_explicit_composite_equals_layer_product(square_team):
+    # reference: the per-layer matrices W_{k-1} -> W_k, identity rows for old agents
+    part = square_team.partition
+    product = np.eye(square_team.n_pl)
+    for layer, rows in EXPLICIT_SQUARE.matrices:
+        prev_ids = part.nested(layer - 1)
+        cur_ids = part.nested(layer)
+        matrix = np.zeros((len(cur_ids), len(prev_ids)))
+        for i, agent in enumerate(cur_ids):
+            for leader, w in rows.get(agent, {agent: 1.0}).items():
+                matrix[i, prev_ids.index(leader)] = w
+        product = matrix @ product
+    weights = sd.build_layer_weights(square_team, EXPLICIT_SQUARE)
+    assert weights.composite.shape == product.shape == (13, 5)
+    assert np.max(np.abs(weights.composite - product)) <= 1e-15
+    assert np.array_equal(composite_weight_matrix(weights), weights.composite)
 
 
 def test_explicit_weights_validation(square_team):

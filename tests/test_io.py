@@ -92,7 +92,34 @@ def test_read_rejects_malformed_and_empty(tmp_path):
     empty.write_text("\n")
     with pytest.raises(sd.ScenarioError, match="empty trace file"):
         sd.read_schedule(empty)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("t,alpha_1,s_x,s_y,s_z,objective,kkt\n\n")
+    with pytest.raises(sd.ScenarioError, match="malformed trace file"):
+        sd.read_schedule(header_only)
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("t,alpha_1,s_x,s_y,s_z,objective,kkt\n0.0,1.0\n")
     with pytest.raises(sd.ScenarioError, match="malformed trace file"):
         sd.read_schedule(ragged)
+    uneven = tmp_path / "uneven.csv"
+    uneven.write_text("t,alpha_1,s_x,s_y,s_z,objective,kkt\n"
+                      "0,1,0,0,0,0,0\n1,1,0,0,0,0\n")
+    with pytest.raises(sd.ScenarioError, match="malformed trace file"):
+        sd.read_schedule(uneven)
+    non_numeric = tmp_path / "non_numeric.csv"
+    non_numeric.write_text("t,alpha_1,s_x,s_y,s_z,objective,kkt\n0,1,abc,0,0,0,0\n")
+    with pytest.raises(sd.ScenarioError, match="malformed trace file"):
+        sd.read_schedule(non_numeric)
+
+
+def test_read_skips_blank_lines_and_keeps_extreme_doubles(tmp_path):
+    values = [5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308,
+              0.1, float("nan"), float("inf")]
+    path = tmp_path / "plan.csv"
+    path.write_text("\n t,alpha_1,s_x,s_y,s_z,objective,kkt\n"
+                    + ",".join(format(v, ".17g") for v in values) + "\n\n"
+                    + ",".join("1" * 7) + "\n\n")
+    schedule = sd.read_schedule(path)
+    row = np.concatenate([schedule.t[:1], schedule.alpha[0], schedule.shift[0],
+                          schedule.objective[:1], schedule.kkt[:1]])
+    assert row.tobytes() == np.array(values).tobytes()
+    assert schedule.n_samples == 2

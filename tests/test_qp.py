@@ -47,6 +47,12 @@ def test_assemble_validation(square_rows):
         sd.assemble_problem(square_rows, s, (1.1, 0.5))
     with pytest.raises(sd.ScenarioError, match="desired shift"):
         sd.assemble_problem(square_rows, np.array([np.nan, 0.0, 0.0]), (0.5, 1.1))
+    for zeta in (np.nan, np.inf):
+        with pytest.raises(sd.ScenarioError, match="zeta must be positive"):
+            sd.assemble_problem(square_rows, s, (0.5, 1.1), zeta=zeta)
+    for bounds in ((np.nan, 1.1), (0.5, np.nan), (-np.inf, 1.1), (0.5, np.inf)):
+        with pytest.raises(sd.ScenarioError, match="alpha bounds must be finite"):
+            sd.assemble_problem(square_rows, s, bounds)
 
 
 def test_zero_centroid_team_rides_lower_bound(square_rows):

@@ -188,3 +188,18 @@ def test_certify_validates_inputs(square_team, square_certification):
         sd.certify_configuration(square_team, schedule, desired, positions_kind="raw")
     with pytest.raises(ValueError, match="does not match"):
         sd.certify_configuration(square_team, schedule, desired[:-1])
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(3, 4)], ids=["every-sample", "one-sample"])
+def test_certify_fails_closed_on_nan_positions(square_team, square_weights,
+                                              square_certification, rows):
+    schedule, _ = square_certification
+    shift = schedule.shift.copy()
+    shift[rows, 0] = np.nan
+    desired = sd.trajectory_positions(square_team, square_weights, schedule.alpha, shift)
+    report = sd.certify_configuration(square_team, schedule, desired)
+    assert report.margins_ok
+    assert not report.distance_ok and not report.verdict
+    assert np.isnan(report.min_distance)
+    assert report.min_distance_index == (0 if rows == slice(None) else 3)
+    assert report.summary().startswith("UNSAFE:")

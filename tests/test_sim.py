@@ -58,6 +58,9 @@ def test_time_grid():
         sd.time_grid(1.0, 0.3)
     with pytest.raises(sd.ScenarioError, match="must be positive"):
         sd.time_grid(-1.0, 0.1)
+    for duration, dt in ((1.0, np.nan), (np.nan, 0.1), (np.inf, 0.1), (1.0, np.inf)):
+        with pytest.raises(sd.ScenarioError, match="positive and finite"):
+            sd.time_grid(duration, dt)
 
 
 def test_pd_step_hand_computed():
