@@ -4,12 +4,14 @@ The lower edge of the scale window keeps every within-cell pair at least
 2*(delta + epsilon) apart under a pure contraction; the upper edge keeps the
 farthest boundary leader inside the motion-space ball of radius a_max. A
 configuration at time t is certified by the smallest singular value of each
-cell's deformation Jacobian (separation shrinks by at most that factor) plus
-a direct minimum-distance sweep of the commanded positions.
+cell's deformation Jacobian (separation shrinks by at most that factor), a
+direct minimum-distance sweep of the commanded positions, and a check that
+every boundary scale factor is finite and inside the window's upper edge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -150,18 +152,30 @@ class CertificationReport:
     min_distance: float
     min_distance_pair: tuple[int, int]   # 1-based agent ids
     min_distance_index: int
+    alpha_ceiling: float           # upper edge of the safety window (motion-space ball)
+    window_index: int              # first sample with a boundary scale above the
+                                   # ceiling or non-finite; -1 if none
+    window_alpha: float            # that scale; nan if none
+
+    @property
+    def window_ok(self) -> bool:
+        return self.window_index < 0
 
     @property
     def verdict(self) -> bool:
-        return self.margins_ok and self.distance_ok
+        return self.margins_ok and self.distance_ok and self.window_ok
 
     def summary(self) -> str:
         state = "SAFE" if self.verdict else "UNSAFE"
-        return (f"{state}: worst margin {self.worst_margin:.3e} "
+        text = (f"{state}: worst margin {self.worst_margin:.3e} "
                 f"(cell {self.worst_margin_cell}, sample {self.worst_margin_index}), "
                 f"min {self.positions_kind} distance {self.min_distance:.6f} "
                 f"(threshold {self.distance_threshold:.6f}, agents "
                 f"{self.min_distance_pair[0]}-{self.min_distance_pair[1]})")
+        if not self.window_ok:
+            text += (f", boundary scale {self.window_alpha:.6g} outside the window "
+                     f"(alpha_max {self.alpha_ceiling:.6g}, sample {self.window_index})")
+        return text
 
 
 def certify_configuration(team: TeamConfiguration, schedule: Schedule,
@@ -207,10 +221,20 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     threshold = clearance if positions_kind == "desired" else 2.0 * team.safety.epsilon
     distance_ok = bool(min_distance >= threshold - margin_tol)
 
+    # larger scales only raise lambda_3 and the distances, so the upper edge
+    # of the window is checked on the schedule itself
+    ceiling = alpha_bounds(team).alpha_max
+    boundary = schedule.alpha[:, :team.n_pl - 1]
+    outside = ~(np.isfinite(boundary) & (boundary <= ceiling))
+    window_index, window_alpha = -1, math.nan
+    if outside.any():
+        window_index, col = divmod(int(np.argmax(outside)), boundary.shape[1])
+        window_alpha = float(boundary[window_index, col])
+
     ids = team.partition.all_ids()
     pair_ids = (ids[min_pair[0]], ids[min_pair[1]])
     return CertificationReport(
         schedule.t.copy(), lambdas, cell_bounds, margins, margins_ok,
         distance_trace, threshold, distance_ok, positions_kind, margin_tol,
         float(margins.min()), cells[worst_cell].cell_id, worst_idx,
-        float(min_distance), pair_ids, min_index)
+        float(min_distance), pair_ids, min_index, ceiling, window_index, window_alpha)

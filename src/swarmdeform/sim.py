@@ -144,9 +144,6 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
     desired = trajectory_positions(team, weights, schedule.alpha, schedule.shift)
     n_steps = t_grid.size - 1
 
-    v_des = np.zeros_like(desired)
-    v_des[1:] = (desired[1:] - desired[:-1]) / dt
-
     if initial_positions is None:
         r = team.positions.copy()
     else:
@@ -162,7 +159,8 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
         v = np.zeros_like(r)
         actual[0] = r
         for i in range(1, n_steps + 1):
-            r, v = pd_step(r, v, desired[i], v_des[i], gains, dt)
+            v_des = (desired[i] - desired[i - 1]) / dt  # per step: no (n, N, 3) copy
+            r, v = pd_step(r, v, desired[i], v_des, gains, dt)
             actual[i] = r
             err = float(np.linalg.norm(r - desired[i], axis=1).max())
             if not np.isfinite(err) or err > limit:

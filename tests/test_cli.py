@@ -165,6 +165,35 @@ def test_certify_nan_shift_is_unsafe(capsys, tmp_path, which):
     assert "distance nan" in captured.out
 
 
+def test_certify_scales_above_window_are_unsafe(capsys, tmp_path):
+    trace = tmp_path / "plan.csv"
+    assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
+    lines = trace.read_text().splitlines()
+    boundary = [i for i, name in enumerate(lines[0].split(","))
+                if name.startswith("alpha_")][:-1]
+    for i in range(1, len(lines)):
+        fields = lines[i].split(",")
+        for column in boundary:
+            fields[column] = "10"
+        lines[i] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("UNSAFE:")
+    assert "boundary scale 10 outside the window (alpha_max 1.125, sample 0)" in captured.out
+
+
+def test_malformed_scenario_exit_code(capsys, tmp_path):
+    config = tmp_path / "broken.yaml"
+    config.write_text("schema: swarm-scenario/1\nteam: {n_agents: 13\n")
+    code = main(["plan", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "malformed scenario document" in captured.err
+
+
 def test_certify_malformed_trace_exit_code(capsys, tmp_path):
     trace = tmp_path / "plan.csv"
     trace.write_text("t,alpha_1,alpha_2,alpha_3,alpha_4,alpha_5,s_x,s_y,s_z,objective,kkt\n"

@@ -123,3 +123,57 @@ def test_read_skips_blank_lines_and_keeps_extreme_doubles(tmp_path):
                           schedule.objective[:1], schedule.kkt[:1]])
     assert row.tobytes() == np.array(values).tobytes()
     assert schedule.n_samples == 2
+
+
+EXTREME = [5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308,
+           -1.7976931348623157e308, 0.1, 1.0 / 3.0, float("nan"), float("inf"),
+           float("-inf"), 1e22, 123456789012345678.0]
+
+
+def _format_rows(header, rows, delim):
+    """The reference text: every field through format(x, ".17g"), ids through int."""
+    lines = [delim.join(header)]
+    lines += [delim.join(v if isinstance(v, str) else format(v, ".17g") for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt, delim", [("csv", ","), ("text", " ")])
+def test_writers_format_extreme_doubles_like_format_17g(tmp_path, fmt, delim):
+    n = len(EXTREME)
+    column = np.array(EXTREME)
+    alpha = np.column_stack([np.roll(column, 1), np.roll(column, 2), np.zeros(n)])
+    shift = np.column_stack([np.roll(column, 3), np.roll(column, 4), np.roll(column, 5)])
+    schedule = sd.Schedule(column, alpha, shift, np.roll(column, 6), None,
+                           0.5, 1.1, 1e-6, "consistent")
+    path = tmp_path / f"plan.{fmt}"
+    sd.write_schedule(path, schedule, fmt=fmt)
+    header = ["t", "alpha_1", "alpha_2", "alpha_3", "s_x", "s_y", "s_z", "objective", "kkt"]
+    rows = [[column[i], *alpha[i], *shift[i], schedule.objective[i], float("nan")]
+            for i in range(n)]
+    assert path.read_bytes() == _format_rows(header, rows, delim).encode()
+
+    # two samples of 7 agents with ids 1..7, every position an extreme double
+    positions = np.resize(column, 2 * 7 * 3).reshape(2, 7, 3)
+    log = sd.SimLog(column[:2], positions, positions[::-1], np.zeros(2), np.zeros(2),
+                    np.zeros(2), schedule, sd.ControllerGains(), "open-loop")
+    path = tmp_path / f"traj.{fmt}"
+    sd.write_trajectory(path, log, range(1, 8), fmt=fmt)
+    header = ["t", "agent_id", "x_des", "y_des", "z_des", "x_act", "y_act", "z_act"]
+    rows = [[column[i], str(a + 1), *positions[i, a], *positions[1 - i, a]]
+            for i in range(2) for a in range(7)]
+    assert path.read_bytes() == _format_rows(header, rows, delim).encode()
+
+
+def test_schedule_writer_spans_chunks(tmp_path):
+    # more rows than one formatting chunk holds, incl. a partial last chunk
+    rng = np.random.default_rng(5)
+    n = 2 * sd.io._CHUNK_ROWS + 3
+    values = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-300, 300, size=(n, 6))
+    schedule = sd.Schedule(values[:, 0], values[:, 1:3], values[:, 3:6], values[:, 0] / 3.0,
+                           np.abs(values[:, 1:4]), 0.5, 1.1, 1e-6, "consistent")
+    path = tmp_path / "plan.csv"
+    sd.write_schedule(path, schedule)
+    header = ["t", "alpha_1", "alpha_2", "s_x", "s_y", "s_z", "objective", "kkt"]
+    rows = [[*values[i], schedule.objective[i], schedule.kkt[i].max()] for i in range(n)]
+    assert path.read_bytes() == _format_rows(header, rows, ",").encode()

@@ -1,19 +1,22 @@
-"""Property tests on generated fan teams.
+"""Property tests on generated fan teams and box QPs.
 
 Each team is a ring of 4-9 boundary leaders around the core (angles jittered
 by up to 30 % of their spacing, so the fan stays convex), rotated out of the
 xy-plane, plus interior agents drawn as convex combinations of one cell's
 vertices and split over up to two deeper layers. The broadcast cell
 coordinates are checked against per-point scalar calls, and the composite
-map against its defining properties.
+map against its defining properties. The stacked box active-set solve is
+checked against its one-row calls and a bounded least-squares oracle.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
 import swarmdeform as sd
 from swarmdeform.hierarchy import ROW_SUM_TOL
+from swarmdeform.qp import _box_active_set
 from swarmdeform.team import (CONTAINMENT_TOL, cell_coordinates, enclosing_cells,
                               projected_weights)
 
@@ -98,3 +101,43 @@ def test_unit_scale_forward_pass_reproduces_positions(case):
     desired = sd.forward_pass(team, sd.build_layer_weights(team),
                               np.ones(team.n_pl), np.zeros(3))
     assert np.max(np.abs(desired - team.positions)) <= 1e-13 * radius
+
+
+@st.composite
+def box_qps(draw):
+    """SPD Q (m <= 6, condition number below ~70), a stack of c rows and a box.
+
+    About one case in ten has no variables (m = 0) and one in ten a collapsed
+    box (lo == hi).
+    """
+    kind = draw(st.integers(0, 9))
+    m = 0 if kind == 3 else draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    a = np.reshape(draw(st.lists(st.floats(-1.0, 1.0), min_size=m * m, max_size=m * m)),
+                   (m, m))
+    q = a @ a.T + draw(st.floats(0.1, 1.0)) * np.eye(m)
+    c = np.reshape(draw(st.lists(st.floats(-5.0, 5.0), min_size=n * m, max_size=n * m)),
+                   (n, m))
+    lo = draw(st.floats(-2.0, 2.0))
+    hi = lo if kind == 7 else lo + draw(st.floats(0.05, 3.0))
+    return q, c, lo, hi
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(box_qps())
+def test_stacked_box_solve_matches_rows_and_bvls(case):
+    q, c, lo, hi = case
+    y, iterations = _box_active_set(q, c, lo, hi)
+    assert y.shape == c.shape and iterations.shape == (c.shape[0],)
+    for i, row in enumerate(c):
+        y_row, it_row = _box_active_set(q, row, lo, hi)
+        assert y_row.tobytes() == y[i].tobytes()
+        assert it_row == iterations[i]
+    if c.shape[1] == 0 or lo == hi:
+        assert np.all(y == lo) and np.all(iterations == 0)
+        return
+    ell = np.linalg.cholesky(q)
+    for i, row in enumerate(c):
+        ref = lsq_linear(ell.T, np.linalg.solve(ell, -row), bounds=(lo, hi),
+                         method="bvls").x
+        assert np.max(np.abs(y[i] - ref)) <= 1e-9

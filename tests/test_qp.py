@@ -164,6 +164,23 @@ def test_schedule_matches_per_step_solves(square_team, square_weights, square_sc
     assert np.max(schedule.kkt) <= 1e-8
 
 
+def test_schedule_records_iterations_and_active_bounds(square_team, square_weights,
+                                                      square_scenario):
+    t_grid = np.linspace(0.0, 30.0, 16)
+    rows = sd.compose_delta_rows(square_team, square_weights)
+    schedule = sd.alpha_schedule(square_team, square_weights, square_scenario.trajectory,
+                                 t_grid, (0.5, 1.1), scaling="paper-exact")
+    assert schedule.iterations.dtype.kind == schedule.active_bounds.dtype.kind == "i"
+    for i, t in enumerate(t_grid):
+        problem = sd.assemble_problem(rows, square_scenario.trajectory.position(t),
+                                      (0.5, 1.1), scaling="paper-exact")
+        sol = sd.solve_box_eq_qp(problem)
+        assert schedule.iterations[i] == sol.iterations
+        assert schedule.active_bounds[i] == len(sol.active_set)
+        assert np.array_equal(schedule.decision_vector(i), sol.x)
+    assert len(set(schedule.iterations.tolist())) > 1
+
+
 def test_paper_exact_unconstrained_overshoots_shift(square_team, square_weights):
     # with a wide box the halved quadratic tracks twice the desired shift;
     # the square team is planar, so keep the shift in its spanned plane

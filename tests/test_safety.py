@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,36 @@ def test_certify_fails_closed_on_nan_positions(square_team, square_weights,
     assert np.isnan(report.min_distance)
     assert report.min_distance_index == (0 if rows == slice(None) else 3)
     assert report.summary().startswith("UNSAFE:")
+
+
+@pytest.mark.parametrize("value", [10.0, np.nan, np.inf, -np.inf])
+def test_certify_fails_closed_outside_window(square_team, square_weights,
+                                             square_certification, value):
+    schedule, _ = square_certification
+    alpha = schedule.alpha.copy()
+    alpha[2:, :-1] = value
+    bad = dataclasses.replace(schedule, alpha=alpha)
+    with np.errstate(invalid="ignore"):
+        desired = sd.trajectory_positions(square_team, square_weights, alpha, bad.shift)
+        report = sd.certify_configuration(square_team, bad, desired)
+    assert not report.window_ok and not report.verdict
+    assert report.window_index == 2
+    assert report.alpha_ceiling == sd.alpha_bounds(square_team).alpha_max == 1.125
+    assert report.summary().startswith("UNSAFE:")
+    assert f"boundary scale {value:.6g} outside the window (alpha_max 1.125, sample 2)" \
+        in report.summary()
+    if value == 10.0:  # larger scales pass every other gate
+        assert report.margins_ok and report.distance_ok
+
+
+def test_certify_window_edge_is_admissible(square_team, square_weights,
+                                           square_certification):
+    schedule, desired = square_certification
+    report = sd.certify_configuration(square_team, schedule, desired)
+    assert report.window_ok and report.window_index == -1
+    assert "window" not in report.summary()
+    alpha = schedule.alpha.copy()
+    alpha[:, :-1] = 1.125
+    edge = dataclasses.replace(schedule, alpha=alpha)
+    desired = sd.trajectory_positions(square_team, square_weights, alpha, edge.shift)
+    assert sd.certify_configuration(square_team, edge, desired).verdict

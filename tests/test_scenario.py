@@ -3,7 +3,7 @@ import pytest
 import yaml
 
 import swarmdeform as sd
-from swarmdeform.scenario import _parse_ids, planning_bounds
+from swarmdeform.scenario import _YAML_LOADER, _parse_ids, planning_bounds
 
 from conftest import SCENARIO_DIR
 
@@ -11,6 +11,18 @@ from conftest import SCENARIO_DIR
 @pytest.fixture()
 def square_doc():
     return yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+
+
+@pytest.mark.parametrize("name", ["square13", "helix67"])
+def test_libyaml_loader_parses_same_document(name):
+    text = (SCENARIO_DIR / f"{name}.yaml").read_text()
+    assert _YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert yaml.load(text, Loader=_YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_malformed_yaml_is_scenario_error():
+    with pytest.raises(sd.ScenarioError, match="malformed scenario document"):
+        sd.load_scenario("schema: swarm-scenario/1\nteam: [1, 2\n")
 
 
 def test_load_square_round_trip(square_scenario, square_doc):
