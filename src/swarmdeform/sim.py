@@ -12,11 +12,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.spatial.distance import pdist
+# unused here, kept because the benchmark tracer (perfbench/) wraps sim.pdist by name
+from scipy.spatial.distance import pdist  # noqa: F401
 
 from .errors import NumericalError, ScenarioError
 from .hierarchy import LayerWeights, trajectory_positions
 from .qp import Schedule, alpha_schedule
+from .safety import closest_pairs
 from .team import TeamConfiguration
 
 DEFAULT_HELIX_AMPLITUDES = (0.4, 0.4, 0.6)
@@ -169,8 +171,9 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
                     f"tracking error {err:.3f} exceeds {limit:.3f}")
 
     tracking = np.linalg.norm(actual - desired, axis=2).max(axis=1)
-    min_des = np.array([pdist(desired[i]).min() for i in range(t_grid.size)])
-    min_act = np.array([pdist(actual[i]).min() for i in range(t_grid.size)])
+    min_des = closest_pairs(desired)[0]
+    # open loop: actual is a copy of desired, and so is its sweep
+    min_act = min_des.copy() if mode == "open-loop" else closest_pairs(actual)[0]
     return SimLog(t_grid, desired, actual, tracking, min_des, min_act,
                   schedule, gains, mode)
 

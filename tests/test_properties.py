@@ -6,17 +6,23 @@ xy-plane, plus interior agents drawn as convex combinations of one cell's
 vertices and split over up to two deeper layers. The broadcast cell
 coordinates are checked against per-point scalar calls, and the composite
 map against its defining properties. The stacked box active-set solve is
-checked against its one-row calls and a bounded least-squares oracle.
+checked against its one-row calls and a bounded least-squares oracle. The
+stacked closest-pair sweep is checked against pdist and a first argmin, and
+the certifier's distance verdict on square13 against injected faults.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
+from scipy.spatial.distance import pdist
 
 import swarmdeform as sd
 from swarmdeform.hierarchy import ROW_SUM_TOL
 from swarmdeform.qp import _box_active_set
+from swarmdeform.safety import KDTREE_MIN_AGENTS, closest_pairs
+from swarmdeform.scenario import planning_bounds
 from swarmdeform.team import (CONTAINMENT_TOL, cell_coordinates, enclosing_cells,
                               projected_weights)
 
@@ -141,3 +147,135 @@ def test_stacked_box_solve_matches_rows_and_bvls(case):
         ref = lsq_linear(ell.T, np.linalg.solve(ell, -row), bounds=(lo, hi),
                          method="bvls").x
         assert np.max(np.abs(y[i] - ref)) <= 1e-9
+
+
+@st.composite
+def position_stacks(draw):
+    """(n, N, 3) stacks with N on both sides of the k-d tree crossover.
+
+    Agents sit on distinct sites of an integer lattice (exact ties), jittered
+    or not, with a few made coincident and the order shuffled. Samples scale
+    the team by integers (the closest pair stays closest), drift it agent by
+    agent, or jump to a fresh arrangement (a loose warm-start radius). One
+    sample may carry a nan or infinite coordinate.
+    """
+    m = draw(st.one_of(st.integers(2, 40),
+                       st.integers(KDTREE_MIN_AGENTS, KDTREE_MIN_AGENTS + 60)))
+    n = draw(st.integers(1, 5))
+    jitter = draw(st.sampled_from([0.0, 0.3]))
+    coincident = draw(st.integers(0, 3))
+    motion = draw(st.sampled_from(["scale", "drift", "jump"]))
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = int(np.ceil(m ** (1.0 / 3.0))) + 1
+
+    def arrangement():
+        sites = rng.permutation(side ** 3)[:m]
+        p = np.stack(np.unravel_index(sites, (side,) * 3), axis=1).astype(float)
+        p += jitter * rng.uniform(-1.0, 1.0, p.shape)
+        for _ in range(coincident):
+            p[rng.integers(m)] = p[rng.integers(m)]
+        return p
+
+    stack = np.empty((n, m, 3))
+    stack[0] = arrangement()
+    for s in range(1, n):
+        if motion == "scale":
+            stack[s] = stack[0] * (1 + s) + s
+        elif motion == "drift":
+            stack[s] = stack[s - 1] + 0.05 * rng.normal(size=(m, 3))
+        else:
+            stack[s] = arrangement()
+    if bad is not None:
+        stack[rng.integers(n), rng.integers(m), rng.integers(3)] = bad
+    return stack
+
+
+def first_argmin_oracle(stack):
+    """pdist and a first argmin per sample; non-finite coordinates read as nan."""
+    i, j = np.triu_indices(stack.shape[1], 1)
+    dist, pairs = [], []
+    for p in stack:
+        d = pdist(np.where(np.isfinite(p), p, np.nan))
+        k = int(np.argmin(d))
+        dist.append(d[k])
+        pairs.append((i[k], j[k]))
+    return np.array(dist), np.array(pairs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(position_stacks())
+def test_closest_pairs_match_first_argmin_oracle(stack):
+    dist, pairs = closest_pairs(stack)
+    ref_dist, ref_pairs = first_argmin_oracle(stack)
+    assert dist.tobytes() == ref_dist.tobytes()
+    assert np.array_equal(pairs, ref_pairs)
+    assert np.array_equal(np.isnan(dist), ~np.isfinite(stack).all(axis=(1, 2)))
+
+
+@pytest.fixture(scope="module")
+def square_mission(square_scenario, square_weights):
+    """A 10 s square13 plan on the scenario's box and its commanded positions."""
+    sc = square_scenario
+    schedule = sd.alpha_schedule(sc.team, square_weights, sc.trajectory,
+                                 np.linspace(0.0, 10.0, 41), planning_bounds(sc))
+    desired = sd.trajectory_positions(sc.team, square_weights, schedule.alpha,
+                                      schedule.shift)
+    for kind in ("desired", "actual"):
+        assert sd.certify_configuration(sc.team, schedule, desired, kind).verdict
+    return schedule, desired
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sample=st.integers(0, 40), agent=st.integers(0, 12), axis=st.integers(0, 2),
+       value=st.sampled_from([np.nan, np.inf, -np.inf]),
+       kind=st.sampled_from(["desired", "actual"]))
+def test_non_finite_sample_is_never_safe(square_team, square_mission, sample, agent,
+                                         axis, value, kind):
+    schedule, desired = square_mission
+    positions = desired.copy()
+    positions[sample, agent, axis] = value
+    report = sd.certify_configuration(square_team, schedule, positions, kind)
+    assert not report.distance_ok and not report.verdict
+    assert report.min_distance_index == sample and np.isnan(report.min_distance)
+    assert square_team.partition.all_ids()[agent] in report.min_distance_pair
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sample=st.integers(0, 40), a=st.integers(0, 12), offset=st.integers(0, 11),
+       gap=st.floats(0.0, 0.25), direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       kind=st.sampled_from(["desired", "actual"]))
+def test_one_close_pair_flips_the_verdict(square_team, square_mission, sample, a, offset,
+                                          gap, direction, kind):
+    # every commanded pair is at least 0.559 apart, so a pair moved to within
+    # 0.25 is the closest one of the whole mission, below either threshold
+    schedule, desired = square_mission
+    u = np.array(direction)
+    if np.linalg.norm(u) < 0.1:
+        u = np.array([1.0, 0.0, 0.0])
+    b = (a + 1 + offset) % square_team.n_agents
+    positions = desired.copy()
+    positions[sample, b] = positions[sample, a] + gap * u / np.linalg.norm(u)
+    report = sd.certify_configuration(square_team, schedule, positions, kind)
+    assert report.margins_ok and report.window_ok
+    assert not report.distance_ok and not report.verdict
+    ids = square_team.partition.all_ids()
+    assert report.min_distance_index == sample
+    assert report.min_distance_pair == (ids[min(a, b)], ids[max(a, b)])
+    assert report.min_distance == pytest.approx(gap, abs=1e-12)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(span=st.sampled_from([(1.0, 0.25), (2.5, 0.1), (4.0, 0.05)]),
+       scaling=st.sampled_from(["consistent", "paper-exact"]),
+       mode=st.sampled_from(["closed-loop", "open-loop"]))
+def test_simulated_distances_are_the_certified_traces(square_scenario, square_weights,
+                                                      span, scaling, mode):
+    sc = square_scenario
+    duration, dt = span
+    log = sd.run_simulation(sc.team, square_weights, sc.trajectory, duration, dt,
+                            planning_bounds(sc), sc.qp.zeta, scaling, mode=mode)
+    desired = sd.certify_configuration(sc.team, log.schedule, log.desired)
+    actual = sd.certify_configuration(sc.team, log.schedule, log.actual, "actual")
+    assert log.min_dist_desired.tobytes() == desired.distance_trace.tobytes()
+    assert log.min_dist_actual.tobytes() == actual.distance_trace.tobytes()
