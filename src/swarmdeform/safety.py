@@ -133,7 +133,10 @@ def _tree_closest(p: np.ndarray, bound: np.ndarray | None) -> tuple[float, np.nd
 
     Every pair within a radius is a candidate. The radius is the exact
     distance of `bound`, a pair at least as far apart as the closest one, or
-    else the k-d tree's nearest-neighbour distance.
+    else the k-d tree's nearest-neighbour distance. Between nearby samples the
+    previous pair's distance is close to the minimum, so few pairs qualify,
+    and it saves the nearest-neighbour query, which costs more than building
+    the tree and collecting the pairs together.
     """
     tree = cKDTree(p)
     if bound is None:

@@ -172,8 +172,7 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
 
     tracking = np.linalg.norm(actual - desired, axis=2).max(axis=1)
     min_des = closest_pairs(desired)[0]
-    # open loop: actual is a copy of desired, and so is its sweep
-    min_act = min_des.copy() if mode == "open-loop" else closest_pairs(actual)[0]
+    min_act = closest_pairs(actual)[0]
     return SimLog(t_grid, desired, actual, tracking, min_des, min_act,
                   schedule, gains, mode)
 
