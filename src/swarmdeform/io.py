@@ -67,6 +67,25 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
+def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Times (n,) and ids (k,) of a trace whose rows come in per-sample blocks.
+
+    Every block must list the first block's ids in the same order, each once,
+    at a single t; anything else would pair a row with the wrong agent or cell.
+    Blocks are k rows long, k the number of distinct ids, so when every block
+    repeats the first one, that block holds each id once.
+    """
+    t, ids = data[:, 0], data[:, 1]
+    k = np.unique(ids).size
+    n = ids.size // k
+    if (ids.size % k
+            or not np.array_equal(ids.reshape(n, k), np.broadcast_to(ids[:k], (n, k)))
+            or not np.array_equal(t.reshape(n, k), np.broadcast_to(t[::k, None], (n, k)),
+                                  equal_nan=True)):
+        raise ScenarioError(f"malformed {kind} trace: {path}")
+    return t[::k], ids[:k].astype(int)
+
+
 def write_schedule(path, schedule: Schedule, fmt: str = "csv") -> None:
     n_pl = schedule.alpha.shape[1]
     header = (["t"] + [f"alpha_{i + 1}" for i in range(n_pl)]
@@ -119,12 +138,8 @@ def read_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     header, data = _read_table(path)
     if header[:2] != ["t", "agent_id"] or len(header) != 8:
         raise ScenarioError(f"not a trajectory trace: {path}")
-    ids = np.unique(data[:, 1]).astype(int)
-    n_agents = ids.size
-    if data.shape[0] % n_agents:
-        raise ScenarioError(f"ragged trajectory trace: {path}")
-    n = data.shape[0] // n_agents
-    t = data[::n_agents, 0]
+    t, ids = _samples(path, data, "trajectory")
+    n, n_agents = t.size, ids.size
     desired = data[:, 2:5].reshape(n, n_agents, 3)
     actual = data[:, 5:8].reshape(n, n_agents, 3)
     return t, ids, desired, actual
@@ -155,12 +170,8 @@ def read_certification(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     header, data = _read_table(path)
     if header[:2] != ["t", "cell_id"] or len(header) != 8:
         raise ScenarioError(f"not a certification trace: {path}")
-    cells = np.unique(data[:, 1]).astype(int)
-    n_cells = cells.size
-    if data.shape[0] % n_cells:
-        raise ScenarioError(f"ragged certification trace: {path}")
-    n = data.shape[0] // n_cells
-    t = data[::n_cells, 0]
+    t, cells = _samples(path, data, "certification")
+    n, n_cells = t.size, cells.size
     lambdas = data[:, 2:5].reshape(n, n_cells, 3)
     bounds = data[:n_cells, 5]
     margins = data[:, 6].reshape(n, n_cells)

@@ -21,6 +21,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError, SafetyWindowError
 from .qp import Schedule
+# also looked up by name by the benchmark tracer (perfbench/)
 from .spectral import eigvals_sym3
 from .team import SafetyParameters, TeamConfiguration, TriangleCell, cell_vertex_positions
 
@@ -57,7 +58,10 @@ class CellBasis:
     """Affine pieces of one cell's deformation Jacobian.
 
     Q(t) = alpha_a(t) * k1 + alpha_b(t) * k2 + k3 where (alpha_a, alpha_b) are
-    the scale factors of the cell's two boundary vertices.
+    the scale factors of the cell's two boundary vertices. Q fixes the unit
+    normal n and maps the cell plane to itself, so in the orthonormal frame
+    (e1, e2, n), e1 = a1 / |a1| and e2 = n x e1, it is the 2x2 block
+    alpha_a * b1 + alpha_b * b2 plus 1 on n.
     """
 
     cell_id: int
@@ -65,6 +69,8 @@ class CellBasis:
     k2: np.ndarray
     k3: np.ndarray
     alpha_index: tuple[int, int]
+    b1: np.ndarray   # (2, 2) k1 in the in-plane frame
+    b2: np.ndarray   # (2, 2) k2 in the in-plane frame
 
 
 def cell_basis(team: TeamConfiguration, cell: TriangleCell) -> CellBasis:
@@ -82,8 +88,12 @@ def cell_basis(team: TeamConfiguration, cell: TriangleCell) -> CellBasis:
     k1 = np.outer(a1, m_inv[0])
     k2 = np.outer(a2, m_inv[1])
     k3 = np.outer(normal, m_inv[2])
+    e1 = a1 / np.linalg.norm(a1)
+    frame = np.column_stack([e1, np.cross(normal, e1)])
+    b1 = np.outer(a1 @ frame, m_inv[0] @ frame)
+    b2 = np.outer(a2 @ frame, m_inv[1] @ frame)
     ia, ib = cell.vertices[1] - 1, cell.vertices[2] - 1
-    return CellBasis(cell.cell_id, k1, k2, k3, (ia, ib))
+    return CellBasis(cell.cell_id, k1, k2, k3, (ia, ib), b1, b2)
 
 
 def triangle_jacobian(team: TeamConfiguration, cell: TriangleCell,
@@ -112,6 +122,33 @@ def pure_deformation_spectrum(q: np.ndarray) -> np.ndarray:
     if single:
         return vals[0]
     return vals.reshape(q.shape[:-2] + (3,))
+
+
+def _cell_spectra(bases: list[CellBasis], alpha: np.ndarray) -> np.ndarray:
+    """Singular values (n, n_cells, 3), descending, of every cell and sample.
+
+    The normal is fixed by Q and by Q^T, so the values are 1 and the two of
+    the in-plane block B = [[p, q], [r, s]]: h + g and |h - g| with
+    h = hypot(p + s, q - r) / 2 and g = hypot(p - s, q + r) / 2. A non-finite
+    scale reads as nan, so every value of its cell is nan.
+    """
+    ia, ib = np.array([basis.alpha_index for basis in bases]).T
+    k1, k2, k3, b1, b2 = (np.stack([getattr(basis, name) for basis in bases])
+                          for name in ("k1", "k2", "k3", "b1", "b2"))
+    alpha = np.where(np.isfinite(alpha), alpha, np.nan)
+    a = alpha[:, ia, None, None]
+    b = alpha[:, ib, None, None]
+    # the predicate of pure_deformation_spectrum, with det Q = det B
+    scale = np.abs(a * k1 + b * k2 + k3).max(axis=(2, 3))
+    block = a * b1 + b * b2
+    p, q, r, s = block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
+    if np.any(np.abs(p * s - q * r) <= 1e-12 * scale ** 3):
+        raise NumericalError("deformation Jacobian is singular")
+    h = 0.5 * np.hypot(p + s, q - r)
+    g = 0.5 * np.hypot(p - s, q + r)
+    big, small = h + g, np.abs(h - g)
+    return np.stack([np.maximum(big, 1.0), np.maximum(small, np.minimum(big, 1.0)),
+                     np.minimum(small, 1.0)], axis=-1)
 
 
 # Teams of at least this many agents sweep each sample through a k-d tree;
@@ -260,14 +297,7 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
 
     cells = team.cells
     n_cells = len(cells)
-    lambdas = np.empty((n, n_cells, 3))
-    for c, cell in enumerate(cells):
-        basis = cell_basis(team, cell)
-        ia, ib = basis.alpha_index
-        a = schedule.alpha[:, ia]
-        b = schedule.alpha[:, ib]
-        q = (a[:, None, None] * basis.k1 + b[:, None, None] * basis.k2 + basis.k3)
-        lambdas[:, c, :] = pure_deformation_spectrum(q)
+    lambdas = _cell_spectra([cell_basis(team, cell) for cell in cells], schedule.alpha)
 
     clearance = team.safety.clearance
     cell_bounds = np.array([clearance / cell.p_min for cell in cells])

@@ -185,6 +185,23 @@ def test_certify_scales_above_window_are_unsafe(capsys, tmp_path):
     assert "boundary scale 10 outside the window (alpha_max 1.125, sample 0)" in captured.out
 
 
+def test_certify_singular_jacobian_exit_code(capsys, tmp_path):
+    # one boundary scale at 0 in one sample collapses its cells' Jacobians
+    trace = tmp_path / "plan.csv"
+    assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
+    lines = trace.read_text().splitlines()
+    fields = lines[20].split(",")
+    fields[lines[0].split(",").index("alpha_1")] = "0"
+    lines[20] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "deformation Jacobian is singular" in captured.err
+    assert captured.out == ""
+
+
 def test_malformed_scenario_exit_code(capsys, tmp_path):
     config = tmp_path / "broken.yaml"
     config.write_text("schema: swarm-scenario/1\nteam: {n_agents: 13\n")

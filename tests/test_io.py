@@ -67,6 +67,56 @@ def test_certification_round_trip_bitwise(square_run, tmp_path, fmt):
     assert np.array_equal(margins, report.margins)
 
 
+def _swap_first_two(rows, k):
+    rows[k], rows[k + 1] = rows[k + 1], rows[k]
+
+
+def _repeat_first(rows, k):
+    rows[k + 1] = rows[k]
+
+
+def _shift_time(rows, k):
+    # the last row of sample 1 takes sample 2's time
+    delim = "," if "," in rows[0] else " "
+    rows[2 * k - 1] = delim.join([rows[2 * k].split(delim)[0]]
+                                 + rows[2 * k - 1].split(delim)[1:])
+
+
+@pytest.mark.parametrize("edit", [_swap_first_two, _repeat_first, _shift_time],
+                         ids=["reordered", "repeated-id", "two-times"])
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_readers_reject_blocks_unlike_the_first(square_run, tmp_path, edit, fmt):
+    # sample 1's block must list the ids of sample 0's, in order, at one t
+    log, report = square_run
+    traces = [("trajectory", lambda p: sd.write_trajectory(p, log, range(1, 14), fmt),
+               sd.read_trajectory, 13),
+              ("certification", lambda p: sd.write_certification(p, report, fmt),
+               sd.read_certification, 4)]
+    for kind, write, read, k in traces:
+        path = tmp_path / f"{kind}.{fmt}"
+        write(path)
+        read(path)
+        lines = path.read_text().splitlines(keepends=True)
+        rows = lines[1:]
+        edit(rows, k)
+        path.write_text(lines[0] + "".join(rows))
+        with pytest.raises(sd.ScenarioError, match=f"malformed {kind} trace"):
+            read(path)
+
+
+def test_readers_keep_the_written_id_order(square_run, tmp_path):
+    log, report = square_run
+    ids = [13, *range(1, 13)]
+    path = tmp_path / "traj.csv"
+    sd.write_trajectory(path, log, ids)
+    t, got_ids, desired, actual = sd.read_trajectory(path)
+    assert got_ids.tolist() == ids
+    assert np.array_equal(desired, log.desired) and np.array_equal(actual, log.actual)
+    path = tmp_path / "cert.csv"
+    sd.write_certification(path, report, cell_ids=[4, 3, 2, 1])
+    assert sd.read_certification(path)[1].tolist() == [4, 3, 2, 1]
+
+
 def test_unknown_format_rejected(square_run, tmp_path):
     log, _ = square_run
     with pytest.raises(sd.ScenarioError, match="unknown trace format"):

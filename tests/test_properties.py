@@ -7,8 +7,9 @@ vertices and split over up to two deeper layers. The broadcast cell
 coordinates are checked against per-point scalar calls, and the composite
 map against its defining properties. The stacked box active-set solve is
 checked against its one-row calls and a bounded least-squares oracle. The
-stacked closest-pair sweep is checked against pdist and a first argmin, and
-the certifier's distance verdict on square13 against injected faults.
+stacked closest-pair sweep is checked against pdist and a first argmin, the
+certifier's distance verdict on square13 against injected faults, and its
+spectra and verdict on generated missions against SVD, pdist and the window.
 """
 
 import numpy as np
@@ -279,3 +280,70 @@ def test_simulated_distances_are_the_certified_traces(square_scenario, square_we
     actual = sd.certify_configuration(sc.team, log.schedule, log.actual, "actual")
     assert log.min_dist_desired.tobytes() == desired.distance_trace.tobytes()
     assert log.min_dist_actual.tobytes() == actual.distance_trace.tobytes()
+
+
+@st.composite
+def scaled_missions(draw):
+    """A fan team with unequal leader radii and a few samples of boundary scales.
+
+    The ring of a generated fan team keeps its jittered angles, each leader
+    moves radially to 30-100 % of its radius (scalene, skewed cells), and one
+    agent sits at each cell's centroid. The clearance is 10-100 % of the
+    tightest cell separation and the window's upper edge 1-3; the scales are
+    drawn in [0.15, top], top 50-150 % of the upper edge, so they land on both
+    sides of both edges. Scales are independent, all equal (a double singular
+    value in every cell) or equal up to 1e-9 (a nearly double one).
+    """
+    team, _ = draw(fan_teams())
+    n_b = team.n_pl - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ring = team.positions[:n_b] * rng.uniform(0.3, 1.0, (n_b, 1))
+    centroids = (ring + np.roll(ring, -1, axis=0)) / 3.0
+    positions = np.vstack([ring, np.zeros((1, 3)), centroids])
+    n_pl = n_b + 1
+    partition = sd.LayerPartition((tuple(range(1, n_pl + 1)),
+                                   tuple(range(n_pl + 1, n_pl + n_b + 1))))
+    cells = sd.build_cells(partition, positions)
+    clearance = draw(st.floats(0.1, 1.0)) * min(cell.p_min for cell in cells)
+    a0 = np.linalg.norm(ring, axis=1).max()
+    ceiling = draw(st.floats(1.0, 3.0))
+    top = draw(st.floats(0.5, 1.5)) * ceiling
+    safety = sd.SafetyParameters(clearance / 4.0, clearance / 4.0,
+                                 ceiling * a0 + clearance, a0)
+    team = sd.TeamConfiguration(partition, positions, cells, safety)
+
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["independent", "equal", "nearly-equal"]))
+    if kind == "independent":
+        boundary = rng.uniform(0.15, top, (n, n_b))
+    else:
+        boundary = np.repeat(rng.uniform(0.15, top, (n, 1)), n_b, axis=1)
+        if kind == "nearly-equal":
+            boundary += 1e-9 * rng.uniform(-1.0, 1.0, (n, n_b))
+    alpha = np.column_stack([boundary, np.zeros(n)])
+    shift = rng.uniform(-5.0, 5.0, (n, 3))
+    schedule = sd.Schedule(np.arange(n, dtype=float), alpha, shift, np.zeros(n), None,
+                           0.15, top, 1e-6, "consistent")
+    return team, schedule
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scaled_missions())
+def test_certificate_matches_svd_pdist_and_window_oracle(mission):
+    team, schedule = mission
+    weights = sd.build_layer_weights(team)
+    desired = sd.trajectory_positions(team, weights, schedule.alpha, schedule.shift)
+    report = sd.certify_configuration(team, schedule, desired)
+
+    svd = np.array([[np.linalg.svd(sd.triangle_jacobian(team, cell, row)[0], compute_uv=False)
+                     for cell in team.cells] for row in schedule.alpha])
+    assert np.all(np.abs(report.lambdas - svd) <= 1e-12 * np.maximum(1.0, svd[..., :1]))
+
+    safety, tol = team.safety, report.margin_tol
+    margins = svd[..., 2] - safety.clearance / np.array([cell.p_min for cell in team.cells])
+    distance = min(pdist(p).min() for p in desired)
+    ceiling = (safety.a_max - safety.clearance) / safety.a0
+    gates = (bool(margins.min() >= -tol), bool(distance >= safety.clearance - tol),
+             bool(np.all(schedule.alpha[:, :-1] <= ceiling)))
+    assert (report.margins_ok, report.distance_ok, report.window_ok) == gates
+    assert report.verdict == all(gates)

@@ -49,6 +49,7 @@ def test_cell_basis_partitions_identity(square_team):
         assert basis.alpha_index == (cell.vertices[1] - 1, cell.vertices[2] - 1)
         total = basis.k1 + basis.k2 + basis.k3
         assert np.max(np.abs(total - np.eye(3))) < 1e-14
+        assert np.max(np.abs(basis.b1 + basis.b2 - np.eye(2))) < 1e-14
         q, b = sd.triangle_jacobian(square_team, cell, np.ones(square_team.n_pl))
         assert np.max(np.abs(q - np.eye(3))) < 1e-14
         assert np.array_equal(b, np.zeros(3))
@@ -225,6 +226,9 @@ def test_certify_fails_closed_outside_window(square_team, square_weights,
         in report.summary()
     if value == 10.0:  # larger scales pass every other gate
         assert report.margins_ok and report.distance_ok
+    else:  # and a non-finite one reads nan in every cell from that sample on
+        assert np.isnan(report.margins[2:]).all() and not report.margins_ok
+        assert np.isfinite(report.margins[:2]).all()
 
 
 def test_certify_window_edge_is_admissible(square_team, square_weights,
@@ -238,3 +242,27 @@ def test_certify_window_edge_is_admissible(square_team, square_weights,
     edge = dataclasses.replace(schedule, alpha=alpha)
     desired = sd.trajectory_positions(square_team, square_weights, alpha, edge.shift)
     assert sd.certify_configuration(square_team, edge, desired).verdict
+
+
+def test_certify_singular_jacobian_raises(square_team, square_weights, square_certification):
+    schedule, _ = square_certification
+    alpha = schedule.alpha.copy()
+    alpha[3, 0] = 0.0
+    collapsed = dataclasses.replace(schedule, alpha=alpha)
+    desired = sd.trajectory_positions(square_team, square_weights, alpha, collapsed.shift)
+    with pytest.raises(sd.NumericalError, match="deformation Jacobian is singular"):
+        sd.certify_configuration(square_team, collapsed, desired)
+
+
+def test_certified_spectra_of_folded_cells_match_svd(square_team, square_certification):
+    # a negative scale folds its cells (det Q < 0); the values stay SVD's
+    schedule, desired = square_certification
+    alpha = schedule.alpha.copy()
+    alpha[:, 0] = np.linspace(-1.1, -0.4, schedule.n_samples)
+    alpha[:, 1] = 0.9
+    folded = dataclasses.replace(schedule, alpha=alpha)
+    report = sd.certify_configuration(square_team, folded, desired)
+    svd = np.array([[np.linalg.svd(sd.triangle_jacobian(square_team, cell, row)[0],
+                                   compute_uv=False) for cell in square_team.cells]
+                    for row in alpha])
+    assert np.max(np.abs(report.lambdas - svd)) <= 1e-12
