@@ -59,7 +59,6 @@ from .sim import (
     tracking_error,
     waypoint_reference,
 )
-from .spectral import eigvals_sym3
 from .team import (
     LayerPartition,
     SafetyParameters,
@@ -104,7 +103,6 @@ __all__ = [
     "certify_configuration",
     "compose_delta_rows",
     "composite_weight_matrix",
-    "eigvals_sym3",
     "enclosing_triangle",
     "forward_pass",
     "helix_reference",

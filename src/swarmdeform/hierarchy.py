@@ -19,6 +19,18 @@ from .team import (CONTAINMENT_TOL, TeamConfiguration, TriangleCell, cell_coordi
 ROW_SUM_TOL = 1e-12
 
 
+def _clip_rows(weights: np.ndarray) -> np.ndarray:
+    """Barycentric rows clipped into [0, 1], each row the clip moved rescaled to sum 1.
+
+    Roundoff from the projection solve may leave weights a hair outside
+    [0, 1]; containment accepts them down to -CONTAINMENT_TOL, far more than
+    ROW_SUM_TOL, so a clipped row has to be renormalised.
+    """
+    clipped = np.clip(weights, 0.0, 1.0)
+    moved = np.any(clipped != weights, axis=-1, keepdims=True)
+    return np.where(moved, clipped / clipped.sum(axis=-1, keepdims=True), clipped)
+
+
 def barycentric_weights(point: np.ndarray, cell: TriangleCell,
                         team: TeamConfiguration) -> np.ndarray:
     """Weights of `point` over the cell's vertices (core, boundary_a, boundary_b).
@@ -30,8 +42,7 @@ def barycentric_weights(point: np.ndarray, cell: TriangleCell,
     if np.any(w < -CONTAINMENT_TOL):
         raise ScenarioError(
             f"point {np.asarray(point).tolist()} lies outside cell {cell.cell_id}")
-    # roundoff from the projection solve may leave weights a hair outside [0, 1]
-    return np.clip(w, 0.0, 1.0)
+    return _clip_rows(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +102,7 @@ def _auto_rows(team: TeamConfiguration, new: np.ndarray) -> tuple[np.ndarray, np
         point = team.positions[new[np.argmin(index)] - 1]
         raise ScenarioError(f"point {point.tolist()} is outside the leading polygon")
     support = np.array([cell.vertices for cell in team.cells])[index]
-    # roundoff from the projection solve may leave weights a hair outside [0, 1]
-    return np.clip(weights[np.arange(new.size), index], 0.0, 1.0), support
+    return _clip_rows(weights[np.arange(new.size), index]), support
 
 
 def build_layer_weights(team: TeamConfiguration, settings=None) -> LayerWeights:
@@ -165,18 +175,6 @@ class CompositeRows:
     @property
     def n_pl(self) -> int:
         return self.delta.shape[1]
-
-    @property
-    def delta_x(self) -> np.ndarray:
-        return self.delta[0]
-
-    @property
-    def delta_y(self) -> np.ndarray:
-        return self.delta[1]
-
-    @property
-    def delta_z(self) -> np.ndarray:
-        return self.delta[2]
 
     def r_matrix(self) -> np.ndarray:
         """Rows [delta_a | e_a], shape (3, n_pl + 3)."""

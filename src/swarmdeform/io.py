@@ -51,17 +51,23 @@ def _write_table(path, header: list[str], blocks, fmt: str, int_cols=()) -> None
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
-    with open(path) as fh:  # streamed: no whole-file string, no per-row float lists
-        lines = (line for line in fh if line.strip())
-        first, second = next(lines, ""), next(lines, "")
-        if not second:
-            raise ScenarioError(f"{'malformed' if first else 'empty'} trace file {path}")
-        header = first.replace(",", " ").split()
-        try:  # np.loadtxt parses each field exactly as float() does
-            data = np.loadtxt(itertools.chain([second], lines), comments=None, ndmin=2,
-                              delimiter="," if "," in first else None)
-        except ValueError:  # a non-numeric field, or rows of unequal length
-            raise ScenarioError(f"malformed trace file {path}") from None
+    try:
+        with open(path) as fh:  # streamed: no whole-file string, no per-row float lists
+            lines = (line for line in fh if line.strip())
+            first, second = next(lines, ""), next(lines, "")
+            if not second:
+                raise ScenarioError(f"{'malformed' if first else 'empty'} trace file {path}")
+            header = first.replace(",", " ").split()
+            try:  # np.loadtxt parses each field exactly as float() does
+                data = np.loadtxt(itertools.chain([second], lines), comments=None, ndmin=2,
+                                  delimiter="," if "," in first else None)
+            except UnicodeDecodeError:  # a ValueError too, but not a malformed row
+                raise
+            except ValueError:  # a non-numeric field, or rows of unequal length
+                raise ScenarioError(f"malformed trace file {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc.reason
+        raise ScenarioError(f"cannot read trace file {path}: {reason}") from None
     if data.shape[1] != len(header):
         raise ScenarioError(f"malformed trace file {path}")
     return header, data

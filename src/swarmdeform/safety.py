@@ -6,7 +6,7 @@ farthest boundary leader inside the motion-space ball of radius a_max. A
 configuration at time t is certified by the smallest singular value of each
 cell's deformation Jacobian (separation shrinks by at most that factor), a
 direct minimum-distance sweep of the commanded positions, and a check that
-every boundary scale factor is finite and inside the window's upper edge.
+every boundary scale factor is positive and inside the window's upper edge.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError, SafetyWindowError
 from .qp import Schedule
-# also looked up by name by the benchmark tracer (perfbench/)
-from .spectral import eigvals_sym3
 from .team import SafetyParameters, TeamConfiguration, TriangleCell, cell_vertex_positions
 
 
@@ -64,7 +62,6 @@ class CellBasis:
     alpha_a * b1 + alpha_b * b2 plus 1 on n.
     """
 
-    cell_id: int
     k1: np.ndarray
     k2: np.ndarray
     k3: np.ndarray
@@ -93,7 +90,7 @@ def cell_basis(team: TeamConfiguration, cell: TriangleCell) -> CellBasis:
     b1 = np.outer(a1 @ frame, m_inv[0] @ frame)
     b2 = np.outer(a2 @ frame, m_inv[1] @ frame)
     ia, ib = cell.vertices[1] - 1, cell.vertices[2] - 1
-    return CellBasis(cell.cell_id, k1, k2, k3, (ia, ib), b1, b2)
+    return CellBasis(k1, k2, k3, (ia, ib), b1, b2)
 
 
 def triangle_jacobian(team: TeamConfiguration, cell: TriangleCell,
@@ -111,17 +108,21 @@ def triangle_jacobian(team: TeamConfiguration, cell: TriangleCell,
 def pure_deformation_spectrum(q: np.ndarray) -> np.ndarray:
     """Singular values of Jacobian(s), descending; accepts (3,3) or (..,3,3)."""
     q = np.asarray(q, dtype=float)
-    single = q.ndim == 2
-    mats = q[None] if single else q.reshape(-1, 3, 3)
-    scale = np.abs(mats).max(axis=(1, 2))
-    dets = np.linalg.det(mats)
-    if np.any(np.abs(dets) <= 1e-12 * np.maximum(scale, 1e-300) ** 3):
+    scale = np.abs(q).max(axis=(-2, -1))
+    if np.any(np.abs(np.linalg.det(q)) <= 1e-12 * np.maximum(scale, 1e-300) ** 3):
         raise NumericalError("deformation Jacobian is singular")
-    gram = mats.swapaxes(1, 2) @ mats
-    vals = np.sqrt(np.maximum(eigvals_sym3(gram), 0.0))
-    if single:
-        return vals[0]
-    return vals.reshape(q.shape[:-2] + (3,))
+    # a nan passes the test above; LAPACK's answer to it varies by build
+    if not np.isfinite(q).all():
+        raise NumericalError("deformation Jacobian is not finite")
+    return np.linalg.svd(q, compute_uv=False)
+
+
+# unused in the package, kept because the benchmark tracer (perfbench/) wraps
+# safety.eigvals_sym3 by name
+def eigvals_sym3(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric part of 3x3 matrices, descending, batched."""
+    a = np.asarray(mats, dtype=float)
+    return np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))[..., ::-1]
 
 
 def _cell_spectra(bases: list[CellBasis], alpha: np.ndarray) -> np.ndarray:
@@ -253,8 +254,8 @@ class CertificationReport:
     min_distance_pair: tuple[int, int]   # 1-based agent ids
     min_distance_index: int
     alpha_ceiling: float           # upper edge of the safety window (motion-space ball)
-    window_index: int              # first sample with a boundary scale above the
-                                   # ceiling or non-finite; -1 if none
+    window_index: int              # first sample with a boundary scale outside
+                                   # (0, ceiling] or non-finite; -1 if none
     window_alpha: float            # that scale; nan if none
 
     @property
@@ -314,10 +315,12 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     distance_ok = bool(min_distance >= threshold - margin_tol)
 
     # larger scales only raise lambda_3 and the distances, so the upper edge
-    # of the window is checked on the schedule itself
+    # of the window is checked on the schedule itself. A scale must also be
+    # positive: scales -a point-reflect a cell, with the same lambda_3 and
+    # distances as scales a, but the path there folds it through Q = 0.
     ceiling = alpha_bounds(team).alpha_max
     boundary = schedule.alpha[:, :team.n_pl - 1]
-    outside = ~(np.isfinite(boundary) & (boundary <= ceiling))
+    outside = ~(np.isfinite(boundary) & (boundary > 0) & (boundary <= ceiling))
     window_index, window_alpha = -1, math.nan
     if outside.any():
         window_index, col = divmod(int(np.argmax(outside)), boundary.shape[1])

@@ -95,14 +95,6 @@ class TeamConfiguration:
         return self.partition.n_pl
 
     @property
-    def core_id(self) -> int:
-        return self.partition.n_pl
-
-    @property
-    def boundary_ids(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n_pl))
-
-    @property
     def leader_positions(self) -> np.ndarray:
         """Material positions of W_1 (boundary leaders then core), shape (n_pl, 3)."""
         return self.positions[: self.n_pl]

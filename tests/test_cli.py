@@ -221,6 +221,28 @@ def test_certify_malformed_trace_exit_code(capsys, tmp_path):
     assert "malformed trace file" in captured.err
 
 
+PLAN_HEADER = b"t,alpha_1,alpha_2,alpha_3,alpha_4,alpha_5,s_x,s_y,s_z,objective,kkt\n"
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8-first-line",
+                                  "non-utf8-deep"])
+def test_certify_unreadable_trace_exit_code(capsys, tmp_path, case):
+    # exit 1 is the UNSAFE verdict, so a trace that cannot be read must not
+    # end in a traceback
+    trace = tmp_path / "plan.csv"
+    if case == "directory":
+        trace.mkdir()
+    elif case == "non-utf8-first-line":
+        trace.write_bytes(b"t,alpha_\xff\n0,1\n")
+    elif case == "non-utf8-deep":
+        # past the first decoded buffer, inside the numeric parse
+        trace.write_bytes(PLAN_HEADER + b"0,1,1,1,1,0,0,0,0,0,0\n" * 2000 + b"\xff\n")
+    code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"cannot read trace file {trace}" in captured.err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--dt", "nan"], "must be positive and finite"),
     (["--T", "inf"], "must be positive and finite"),

@@ -181,3 +181,28 @@ def test_barycentric_weights_outside_raises(square_team):
     cell = square_team.cells[0]
     with pytest.raises(sd.ScenarioError, match="outside cell 1"):
         barycentric_weights(np.array([-1.0, -1.0, 0.0]), cell, square_team)
+
+
+def pentagon_with_edge_agent(u):
+    """Regular pentagon of radius 10 plus a layer-2 agent at fraction u of the
+    edge from leader 1 to leader 2, every coordinate rounded to 10 decimals."""
+    angles = 2.0 * np.pi * np.arange(5) / 5
+    ring = np.round(10.0 * np.stack([np.cos(angles), np.sin(angles), np.zeros(5)], axis=1), 10)
+    on_edge = np.round((1.0 - u) * ring[0] + u * ring[1], 10)
+    positions = np.vstack([ring, [0.0, 0.0, 0.0], on_edge, [2.0, 1.0, 0.0]])
+    partition = sd.LayerPartition(((1, 2, 3, 4, 5, 6), (7, 8)))
+    return sd.TeamConfiguration(partition, positions, sd.build_cells(partition, positions),
+                                sd.SafetyParameters(0.05, 0.15, 20.0, 10.0))
+
+
+def test_rows_clipped_onto_a_cell_edge_stay_row_stochastic():
+    # rounding leaves the edge agent's weight on the core slightly negative, a
+    # hair inside the containment tolerance and far outside the row-sum one
+    for k in range(1, 31):
+        team = pentagon_with_edge_agent(k / 31)
+        assert sd.validate_team(team).ok
+        assert_stochastic_structure(team, sd.build_layer_weights(team))
+        point = team.position(7)
+        w = barycentric_weights(point, sd.enclosing_triangle(team, point), team)
+        assert np.all((w >= 0.0) & (w <= 1.0))
+        assert abs(w.sum() - 1.0) <= ROW_SUM_TOL

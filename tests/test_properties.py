@@ -344,6 +344,6 @@ def test_certificate_matches_svd_pdist_and_window_oracle(mission):
     distance = min(pdist(p).min() for p in desired)
     ceiling = (safety.a_max - safety.clearance) / safety.a0
     gates = (bool(margins.min() >= -tol), bool(distance >= safety.clearance - tol),
-             bool(np.all(schedule.alpha[:, :-1] <= ceiling)))
+             bool(np.all((schedule.alpha[:, :-1] > 0) & (schedule.alpha[:, :-1] <= ceiling))))
     assert (report.margins_ok, report.distance_ok, report.window_ok) == gates
     assert report.verdict == all(gates)

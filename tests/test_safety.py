@@ -115,6 +115,13 @@ def test_spectrum_singular_raises():
         sd.pure_deformation_spectrum(q)
 
 
+def test_spectrum_non_finite_raises():
+    mats = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+    mats[2, 0, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(sd.NumericalError, match="not finite"):
+        sd.pure_deformation_spectrum(mats)
+
+
 def test_min_pairwise_distance_decode():
     rng = np.random.default_rng(29)
     for n in (2, 3, 5, 8, 12):
@@ -208,7 +215,7 @@ def test_certify_fails_closed_on_nan_positions(square_team, square_weights,
     assert report.summary().startswith("UNSAFE:")
 
 
-@pytest.mark.parametrize("value", [10.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [10.0, -0.5, np.nan, np.inf, -np.inf])
 def test_certify_fails_closed_outside_window(square_team, square_weights,
                                              square_certification, value):
     schedule, _ = square_certification
@@ -224,7 +231,8 @@ def test_certify_fails_closed_outside_window(square_team, square_weights,
     assert report.summary().startswith("UNSAFE:")
     assert f"boundary scale {value:.6g} outside the window (alpha_max 1.125, sample 2)" \
         in report.summary()
-    if value == 10.0:  # larger scales pass every other gate
+    if np.isfinite(value):  # larger scales pass every other gate, and -0.5
+        # point-reflects every cell, with the lambdas and distances of 0.5
         assert report.margins_ok and report.distance_ok
     else:  # and a non-finite one reads nan in every cell from that sample on
         assert np.isnan(report.margins[2:]).all() and not report.margins_ok

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmdeform.spectral import eigvals_sym3
+from swarmdeform.safety import eigvals_sym3
 
 
 def random_symmetric(rng, n, scale=1.0):
