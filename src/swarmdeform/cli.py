@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import NumericalError, ScenarioError
 from .hierarchy import build_layer_weights, compose_delta_rows, trajectory_positions
-from .io import write_certification, write_schedule, write_trajectory, read_schedule
-from .qp import alpha_schedule
+from .io import (TRACE_FORMATS, read_schedule, write_certification, write_schedule,
+                 write_trajectory)
+from .qp import SCALING_MODES, alpha_schedule
 from .safety import alpha_bounds, certify_configuration
 from .scenario import load_scenario, planning_bounds
 from .sim import ControllerGains, run_simulation, time_grid
@@ -23,12 +24,12 @@ from .sim import ControllerGains, run_simulation, time_grid
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario YAML file")
     sub.add_argument("--out", help="write the result trace to this path")
-    sub.add_argument("--format", choices=("csv", "text"), default="csv",
+    sub.add_argument("--format", choices=tuple(TRACE_FORMATS), default="csv",
                      help="trace dialect (default csv)")
     sub.add_argument("--dt", type=float, help="override the scenario time step")
     sub.add_argument("--T", type=float, dest="duration",
                      help="override the scenario duration")
-    sub.add_argument("--mode", choices=("consistent", "paper-exact"),
+    sub.add_argument("--mode", choices=SCALING_MODES,
                      help="override the QP scaling mode")
     sub.add_argument("--alpha-min", type=float, help="override the lower scale bound")
     sub.add_argument("--alpha-max", type=float, help="override the upper scale bound")
@@ -62,30 +63,23 @@ def _load(args):
     return scenario, weights
 
 
-def _bounds(scenario, args) -> tuple[float, float]:
+def _settings(scenario, args) -> tuple[tuple[float, float], str, float, float]:
+    """Scale box, scaling mode, time step and duration, overrides applied."""
     lo, hi = planning_bounds(scenario)
     if args.alpha_min is not None:
         lo = args.alpha_min
     if args.alpha_max is not None:
         hi = args.alpha_max
-    if lo > hi:
-        raise ScenarioError(f"infeasible alpha bounds: {lo} > {hi}")
-    return lo, hi
-
-
-def _grid(scenario, args) -> np.ndarray:
     dt = args.dt if args.dt is not None else scenario.sim.dt
     duration = args.duration if args.duration is not None else scenario.sim.duration
-    return time_grid(duration, dt)
+    return (lo, hi), args.mode or scenario.qp.scaling, dt, duration
 
 
 def _plan(scenario, weights, args):
-    bounds = _bounds(scenario, args)
-    scaling = args.mode or scenario.qp.scaling
-    t_grid = _grid(scenario, args)
-    schedule = alpha_schedule(scenario.team, weights, scenario.trajectory, t_grid,
-                              bounds, scenario.qp.zeta, scaling,
-                              scenario.weights.average)
+    bounds, scaling, dt, duration = _settings(scenario, args)
+    schedule = alpha_schedule(scenario.team, weights, scenario.trajectory,
+                              time_grid(duration, dt), bounds, scenario.qp.zeta,
+                              scaling, scenario.weights.average)
     return schedule, bounds, scaling
 
 
@@ -118,10 +112,7 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     scenario, weights = _load(args)
     team = scenario.team
-    bounds = _bounds(scenario, args)
-    scaling = args.mode or scenario.qp.scaling
-    dt = args.dt if args.dt is not None else scenario.sim.dt
-    duration = args.duration if args.duration is not None else scenario.sim.duration
+    bounds, scaling, dt, duration = _settings(scenario, args)
     mode = "open-loop" if args.open_loop else scenario.sim.mode
     gains = ControllerGains(scenario.sim.kp, scenario.sim.kd)
     log = run_simulation(team, weights, scenario.trajectory, duration, dt, bounds,

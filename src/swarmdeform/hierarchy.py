@@ -17,6 +17,8 @@ from .team import (CONTAINMENT_TOL, TeamConfiguration, TriangleCell, cell_coordi
                    cell_vertex_positions, enclosing_cells, projected_weights)
 
 ROW_SUM_TOL = 1e-12
+# agents averaged into the nominal position: all of W_p, or the last new set
+AVERAGING_MODES = ("all", "new")
 
 
 def _clip_rows(weights: np.ndarray) -> np.ndarray:
@@ -135,10 +137,10 @@ def build_layer_weights(team: TeamConfiguration, settings=None) -> LayerWeights:
 def averaging_ids(team: TeamConfiguration, weights: LayerWeights,
                   average: str = "all") -> tuple[int, ...]:
     """Agent ids averaged into the nominal position (all of W_p, or the new set)."""
+    if average not in AVERAGING_MODES:
+        raise ScenarioError(f"averaging mode must be all or new, got {average!r}")
     if average == "new":
         return tuple(sorted(team.partition.new_sets[-1]))
-    if average != "all":
-        raise ScenarioError(f"averaging mode must be all or new, got {average!r}")
     return weights.layer_ids[-1]
 
 

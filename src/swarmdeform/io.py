@@ -18,7 +18,8 @@ from .qp import Schedule
 from .safety import CertificationReport
 from .sim import SimLog
 
-_DELIMS = {"csv": ",", "text": " "}
+# trace format -> field delimiter
+TRACE_FORMATS = {"csv": ",", "text": " "}
 # rows formatted per string operation; with 1024 the process's peak resident
 # memory crept up by about 5 MiB over repeated writes, with 128 it stays flat
 _CHUNK_ROWS = 128
@@ -26,7 +27,7 @@ _CHUNK_ROWS = 128
 
 def _delimiter(fmt: str) -> str:
     try:
-        return _DELIMS[fmt]
+        return TRACE_FORMATS[fmt]
     except KeyError:
         raise ScenarioError(f"unknown trace format {fmt!r}") from None
 
@@ -44,10 +45,13 @@ def _write_table(path, header: list[str], blocks, fmt: str, int_cols=()) -> None
     """
     delim = _delimiter(fmt)
     row = delim.join("%d" if i in int_cols else "%.17g" for i in range(len(header))) + "\n"
-    with open(path, "w") as fh:
-        fh.write(delim.join(header) + "\n")
-        for block in blocks:
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    try:
+        with open(path, "w") as fh:
+            fh.write(delim.join(header) + "\n")
+            for block in blocks:
+                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    except OSError as exc:
+        raise ScenarioError(f"cannot write trace file {path}: {exc.strerror}") from None
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
@@ -96,8 +100,11 @@ def write_schedule(path, schedule: Schedule, fmt: str = "csv") -> None:
     n_pl = schedule.alpha.shape[1]
     header = (["t"] + [f"alpha_{i + 1}" for i in range(n_pl)]
               + ["s_x", "s_y", "s_z", "objective", "kkt"])
-    kkt = (schedule.kkt.max(axis=1) if schedule.kkt is not None
-           else np.full(schedule.n_samples, math.nan))
+    # (n, 3) residuals from the planner, or (n,) maxima read back from a trace
+    if schedule.kkt is None:
+        kkt = np.full(schedule.n_samples, math.nan)
+    else:
+        kkt = schedule.kkt if schedule.kkt.ndim == 1 else schedule.kkt.max(axis=1)
 
     blocks = (np.column_stack([schedule.t[s], schedule.alpha[s], schedule.shift[s],
                                schedule.objective[s], kkt[s]])

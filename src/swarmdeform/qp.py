@@ -34,6 +34,8 @@ from .hierarchy import CompositeRows, LayerWeights, compose_delta_rows
 from .team import TeamConfiguration
 
 SCALING_MODES = ("consistent", "paper-exact")
+# slack at or below which kkt_residual treats a box row as active
+KKT_ACTIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +179,9 @@ def _box_active_set(q: np.ndarray, c: np.ndarray, lo: float,
         rhs = np.where(free, -(cl + _dot(q, np.where(free, 0.0, x)[:, None, :])), x)
         xf = np.linalg.solve(system, rhs[..., None])[..., 0]
         d = np.where(free, xf - x, 0.0)
-        # largest step inside the box along d
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # largest step inside the box along d; a ratio that overflows to +inf
+        # does not block, as intended
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t_coord = np.minimum(np.where(d < 0.0, (lo - x) / d, np.inf),
                                  np.where(d > 0.0, (hi - x) / d, np.inf))
         t_min = t_coord.min(axis=1, keepdims=True)
@@ -263,8 +266,7 @@ def solve_box_eq_qp(problem: QpProblem) -> QpSolution:
                       complementarity, active, int(out.iterations[0]))
 
 
-def kkt_residual(problem: QpProblem, x: np.ndarray,
-                 active_tol: float = 1e-8) -> tuple[float, float, float]:
+def kkt_residual(problem: QpProblem, x: np.ndarray) -> tuple[float, float, float]:
     """Stationarity / primal / complementarity residuals at an arbitrary point.
 
     Multipliers are recovered by a nonnegative least-squares fit supported on
@@ -276,7 +278,7 @@ def kkt_residual(problem: QpProblem, x: np.ndarray,
     slack = problem.b_ineq - problem.a_ineq @ x
     primal = float(max(0.0, -slack.min() if slack.size else 0.0,
                        np.abs(problem.a_eq @ x - problem.b_eq).max()))
-    active = np.where(slack <= active_tol)[0]
+    active = np.where(slack <= KKT_ACTIVE_TOL)[0]
     basis = np.vstack([problem.a_ineq[active], problem.a_eq])
     lower = np.concatenate([np.zeros(active.size), np.full(4, -np.inf)])
     upper = np.full(active.size + 4, np.inf)
@@ -313,12 +315,6 @@ class Schedule:
         return np.concatenate([self.alpha[i], self.shift[i]])
 
 
-def _trajectory_sample(trajectory, t: float) -> np.ndarray:
-    if hasattr(trajectory, "position"):
-        return np.asarray(trajectory.position(t), dtype=float)
-    return np.asarray(trajectory(t), dtype=float)
-
-
 def alpha_schedule(team: TeamConfiguration, weights: LayerWeights, trajectory,
                    t_grid: np.ndarray, bounds: tuple[float, float],
                    zeta: float = 1e-6, scaling: str = "consistent",
@@ -326,14 +322,15 @@ def alpha_schedule(team: TeamConfiguration, weights: LayerWeights, trajectory,
     """Solve the planner QP at every sample of `t_grid`, all samples in one stack.
 
     H and the constraints are the same at every sample; only k and b_eq
-    follow the desired shift. Each row equals `solve_box_eq_qp` on
-    `assemble_problem(rows, trajectory.position(t))` bit for bit.
+    follow the desired shift, sampled in one `trajectory.position(t_grid)`
+    call. Each row equals `solve_box_eq_qp` on
+    `assemble_problem(rows, trajectory.position(t))` bit for bit wherever that
+    call's rows equal the one-t calls, as they do on the shipped trajectories.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     rows = compose_delta_rows(team, weights, average)
-    # sampled one t at a time, exactly as the one-sample path evaluates it
-    shifts = np.array([_trajectory_sample(trajectory, t) for t in t_grid]).reshape(-1, 3)
-    if shifts.shape[0] != t_grid.size or not np.all(np.isfinite(shifts)):
+    shifts = np.asarray(trajectory.position(t_grid), dtype=float)
+    if shifts.shape != (t_grid.size, 3) or not np.all(np.isfinite(shifts)):
         raise ScenarioError("desired shift must be a finite [x, y, z] triple")
     problem = assemble_problem(rows, np.zeros(3), bounds, zeta, scaling)
     out = _solve_stack(problem, *_linear_terms(rows.r_matrix(), shifts))

@@ -23,6 +23,9 @@ from .errors import NumericalError, SafetyWindowError
 from .qp import Schedule
 from .team import SafetyParameters, TeamConfiguration, TriangleCell, cell_vertex_positions
 
+# how far below its bound a deformation margin or a distance may fall and pass
+MARGIN_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SafetyBounds:
@@ -108,12 +111,13 @@ def triangle_jacobian(team: TeamConfiguration, cell: TriangleCell,
 def pure_deformation_spectrum(q: np.ndarray) -> np.ndarray:
     """Singular values of Jacobian(s), descending; accepts (3,3) or (..,3,3)."""
     q = np.asarray(q, dtype=float)
+    # first: a nan passes the singular test below, an inf can fail it, and
+    # LAPACK's answer to either varies by build
+    if not np.isfinite(q).all():
+        raise NumericalError("deformation Jacobian is not finite")
     scale = np.abs(q).max(axis=(-2, -1))
     if np.any(np.abs(np.linalg.det(q)) <= 1e-12 * np.maximum(scale, 1e-300) ** 3):
         raise NumericalError("deformation Jacobian is singular")
-    # a nan passes the test above; LAPACK's answer to it varies by build
-    if not np.isfinite(q).all():
-        raise NumericalError("deformation Jacobian is not finite")
     return np.linalg.svd(q, compute_uv=False)
 
 
@@ -280,8 +284,8 @@ class CertificationReport:
 
 
 def certify_configuration(team: TeamConfiguration, schedule: Schedule,
-                          positions: np.ndarray, positions_kind: str = "desired",
-                          margin_tol: float = 1e-9) -> CertificationReport:
+                          positions: np.ndarray,
+                          positions_kind: str = "desired") -> CertificationReport:
     """Certify a planned schedule against deformation and distance limits.
 
     `positions` is the (n_samples, n_agents, 3) stack the schedule produces
@@ -303,7 +307,7 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     clearance = team.safety.clearance
     cell_bounds = np.array([clearance / cell.p_min for cell in cells])
     margins = lambdas[:, :, 2] - cell_bounds[None, :]
-    margins_ok = bool(margins.min() >= -margin_tol)
+    margins_ok = bool(margins.min() >= -MARGIN_TOL)
     flat = int(np.argmin(margins))
     worst_idx, worst_cell = divmod(flat, n_cells)
 
@@ -312,7 +316,7 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     min_index = int(np.argmin(distance_trace))
     min_distance, min_pair = distance_trace[min_index], pairs[min_index]
     threshold = clearance if positions_kind == "desired" else 2.0 * team.safety.epsilon
-    distance_ok = bool(min_distance >= threshold - margin_tol)
+    distance_ok = bool(min_distance >= threshold - MARGIN_TOL)
 
     # larger scales only raise lambda_3 and the distances, so the upper edge
     # of the window is checked on the schedule itself. A scale must also be
@@ -330,6 +334,6 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     pair_ids = (ids[min_pair[0]], ids[min_pair[1]])
     return CertificationReport(
         schedule.t.copy(), lambdas, cell_bounds, margins, margins_ok,
-        distance_trace, threshold, distance_ok, positions_kind, margin_tol,
+        distance_trace, threshold, distance_ok, positions_kind, MARGIN_TOL,
         float(margins.min()), cells[worst_cell].cell_id, worst_idx,
         float(min_distance), pair_ids, min_index, ceiling, window_index, window_alpha)

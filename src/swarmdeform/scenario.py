@@ -15,6 +15,10 @@ import numpy as np
 import yaml
 
 from .errors import ScenarioError
+from .hierarchy import AVERAGING_MODES
+from .qp import SCALING_MODES
+from .safety import alpha_bounds
+from .sim import SIM_MODES, make_trajectory
 from .team import (LayerPartition, SafetyParameters, TeamConfiguration,
                    ValidationReport, boundary_reference_magnitude, build_cells,
                    validate_team)
@@ -87,6 +91,13 @@ def _parse_ids(value) -> list[int]:
     raise ScenarioError(f"cannot parse agent ids from {value!r}")
 
 
+def _choice(section: Mapping, key: str, where: str, default: str, allowed) -> str:
+    value = section.get(key, default)
+    if value not in allowed:
+        raise ScenarioError(f"{where}.{key} must be {' or '.join(allowed)}, got {value!r}")
+    return value
+
+
 def _require(mapping: Mapping, key: str, where: str):
     if key not in mapping:
         raise ScenarioError(f"scenario is missing '{where}.{key}'" if where else
@@ -137,12 +148,8 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
 
 def _parse_weights(doc: Mapping) -> WeightsSettings:
     wsec = doc.get("weights") or {}
-    mode = wsec.get("mode", "auto")
-    if mode not in ("auto", "explicit"):
-        raise ScenarioError(f"weights.mode must be auto or explicit, got {mode!r}")
-    average = wsec.get("average", "all")
-    if average not in ("all", "new"):
-        raise ScenarioError(f"weights.average must be all or new, got {average!r}")
+    mode = _choice(wsec, "mode", "weights", "auto", ("auto", "explicit"))
+    average = _choice(wsec, "average", "weights", "all", AVERAGING_MODES)
     matrices: list = []
     if mode == "explicit":
         for entry in _require(wsec, "matrices", "weights"):
@@ -156,13 +163,10 @@ def _parse_weights(doc: Mapping) -> WeightsSettings:
 def _parse_qp(doc: Mapping) -> QpSettings:
     qsec = doc.get("qp") or {}
     zeta = float(qsec.get("zeta", 1e-6))
-    scaling = qsec.get("scaling", "consistent")
-    if scaling not in ("consistent", "paper-exact"):
-        raise ScenarioError(f"qp.scaling must be consistent or paper-exact, got {scaling!r}")
+    scaling = _choice(qsec, "scaling", "qp", "consistent", SCALING_MODES)
     bsec = qsec.get("alpha_bounds") or {}
-    bounds_mode = bsec.get("mode", "safety" if "min" not in bsec else "fixed")
-    if bounds_mode not in ("fixed", "safety"):
-        raise ScenarioError(f"qp.alpha_bounds.mode must be fixed or safety, got {bounds_mode!r}")
+    bounds_mode = _choice(bsec, "mode", "qp.alpha_bounds",
+                          "safety" if "min" not in bsec else "fixed", ("fixed", "safety"))
     amin = amax = None
     if bounds_mode == "fixed":
         amin = float(_require(bsec, "min", "qp.alpha_bounds"))
@@ -170,13 +174,6 @@ def _parse_qp(doc: Mapping) -> QpSettings:
         if amin > amax:
             raise ScenarioError(f"qp.alpha_bounds: min {amin} exceeds max {amax}")
     return QpSettings(zeta, scaling, bounds_mode, amin, amax)
-
-
-def _parse_trajectory(doc: Mapping):
-    from .sim import make_trajectory
-
-    tsec = _require(doc, "trajectory", "")
-    return make_trajectory(tsec)
 
 
 def _parse_sim(doc: Mapping) -> SimSettings:
@@ -188,9 +185,7 @@ def _parse_sim(doc: Mapping) -> SimSettings:
     gains = ssec.get("gains") or {}
     kp = float(gains.get("kp", 4.0))
     kd = float(gains.get("kd", 4.0))
-    mode = ssec.get("mode", "closed-loop")
-    if mode not in ("closed-loop", "open-loop"):
-        raise ScenarioError(f"sim.mode must be closed-loop or open-loop, got {mode!r}")
+    mode = _choice(ssec, "mode", "sim", "closed-loop", SIM_MODES)
     return SimSettings(duration, dt, kp, kd, mode)
 
 
@@ -200,20 +195,22 @@ def parse_scenario(doc: Mapping) -> Scenario:
     tag = doc.get("schema")
     if tag != SCHEMA_TAG:
         raise ScenarioError(f"unsupported scenario schema {tag!r}; expected {SCHEMA_TAG!r}")
-    team = _parse_team(doc)
-    report = validate_team(team)
-    if not report.ok:
-        raise ScenarioError("invalid team: " + "; ".join(report.violations))
-    scenario = Scenario(
-        name=str(doc.get("name", "unnamed")),
-        team=team,
-        weights=_parse_weights(doc),
-        qp=_parse_qp(doc),
-        trajectory=_parse_trajectory(doc),
-        sim=_parse_sim(doc),
-        validation=report,
-    )
-    return scenario
+    try:
+        team = _parse_team(doc)
+        report = validate_team(team)
+        if not report.ok:
+            raise ScenarioError("invalid team: " + "; ".join(report.violations))
+        return Scenario(
+            name=str(doc.get("name", "unnamed")),
+            team=team,
+            weights=_parse_weights(doc),
+            qp=_parse_qp(doc),
+            trajectory=make_trajectory(_require(doc, "trajectory", "")),
+            sim=_parse_sim(doc),
+            validation=report,
+        )
+    except (ValueError, TypeError) as exc:  # a field that does not convert
+        raise ScenarioError(f"malformed scenario value: {exc}") from exc
 
 
 def load_scenario(source) -> Scenario:
@@ -226,7 +223,7 @@ def load_scenario(source) -> Scenario:
         else:
             try:
                 text = Path(source).read_text()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ScenarioError(f"cannot read scenario {source}: {exc}") from exc
         try:
             doc = yaml.load(text, Loader=_YAML_LOADER)
@@ -240,7 +237,5 @@ def planning_bounds(scenario: Scenario) -> tuple[float, float]:
     """Scale-factor bounds the planner should use for this scenario."""
     if scenario.qp.bounds_mode == "fixed":
         return scenario.qp.alpha_min, scenario.qp.alpha_max
-    from .safety import alpha_bounds
-
     window = alpha_bounds(scenario.team)
     return window.alpha_min, window.alpha_max

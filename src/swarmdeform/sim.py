@@ -22,6 +22,9 @@ from .safety import closest_pairs
 from .team import TeamConfiguration
 
 DEFAULT_HELIX_AMPLITUDES = (0.4, 0.4, 0.6)
+SIM_MODES = ("closed-loop", "open-loop")
+# a closed-loop run aborts once an agent strays this many deltas from command
+DIVERGENCE_FACTOR = 100.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +133,14 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
                    scaling: str = "consistent", average: str = "all",
                    gains: ControllerGains = ControllerGains(),
                    mode: str = "closed-loop",
-                   initial_positions: np.ndarray | None = None,
-                   divergence_factor: float = 100.0) -> SimLog:
+                   initial_positions: np.ndarray | None = None) -> SimLog:
     """Plan the scale schedule, then track it agent-by-agent.
 
     mode "closed-loop" integrates the PD law from the material configuration
     (or `initial_positions`); "open-loop" copies the commanded positions. The
-    run aborts once any agent strays divergence_factor * delta from command.
+    run aborts once any agent strays DIVERGENCE_FACTOR * delta from command.
     """
-    if mode not in ("closed-loop", "open-loop"):
+    if mode not in SIM_MODES:
         raise ScenarioError(f"unknown simulation mode {mode!r}")
     t_grid = time_grid(duration, dt)
     schedule = alpha_schedule(team, weights, trajectory, t_grid, bounds,
@@ -157,7 +159,7 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
     if mode == "open-loop":
         actual[:] = desired
     else:
-        limit = divergence_factor * team.safety.delta
+        limit = DIVERGENCE_FACTOR * team.safety.delta
         v = np.zeros_like(r)
         actual[0] = r
         for i in range(1, n_steps + 1):

@@ -255,3 +255,51 @@ def test_non_finite_overrides_exit_code(capsys, flags, message):
     assert code == 2
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("path, value", [
+    (("safety", "delta"), "abc"),
+    (("team", "positions", 1), ["x", 0.0, 0.0]),
+    (("team", "layers", 0), "1..x"),
+    (("qp", "zeta"), "abc"),
+    (("trajectory",), {"kind": "helix", "omega": "abc"}),
+    (("team", "n_agents"), "many"),
+    (("qp", "alpha_bounds", "max"), [1]),
+    (None, None),
+], ids=["delta", "position", "layer", "zeta", "omega", "n_agents", "alpha-max-list",
+        "non-utf8"])
+def test_malformed_scenario_value_exit_code(capsys, tmp_path, path, value):
+    # exit 1 is the UNSAFE verdict, so a field that does not convert must not
+    # end in a traceback
+    config = tmp_path / "bad.yaml"
+    text = (SCENARIO_DIR / "square13.yaml").read_text()
+    if path is None:
+        config.write_bytes(b"# \xff\n" + text.encode())
+        message = f"error: cannot read scenario {config}"
+    else:
+        doc = node = yaml.safe_load(text)
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        config.write_text(yaml.safe_dump(doc))
+        message = "error: malformed scenario value: "
+    code = main(["plan", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, target", [
+    ("plan", "missing-dir"),
+    ("simulate", "missing-dir"),
+    ("certify", "directory"),
+])
+def test_unwritable_out_exit_code(capsys, tmp_path, command, target):
+    out = tmp_path / "missing" / "trace.csv"
+    if target == "directory":
+        out = tmp_path
+    code = main([command, "--config", SQUARE, "--T", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: cannot write trace file {out}" in captured.err

@@ -227,3 +227,15 @@ def test_schedule_writer_spans_chunks(tmp_path):
     header = ["t", "alpha_1", "alpha_2", "s_x", "s_y", "s_z", "objective", "kkt"]
     rows = [[*values[i], schedule.objective[i], schedule.kkt[i].max()] for i in range(n)]
     assert path.read_bytes() == _format_rows(header, rows, ",").encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_read_back_schedule_writes_the_same_bytes(square_run, tmp_path, fmt):
+    # the read kkt holds per-sample maxima (n,), the planner's residuals (n, 3)
+    log, _ = square_run
+    first, second = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+    sd.write_schedule(first, log.schedule, fmt=fmt)
+    back = sd.read_schedule(first)
+    assert back.kkt.shape == (log.schedule.n_samples,)
+    sd.write_schedule(second, back, fmt=fmt)
+    assert second.read_bytes() == first.read_bytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,16 @@ def test_active_set_release_hand_case():
     x, iters = _box_active_set(q, c, 0.0, 1.0)
     assert np.allclose(x, [1.0, 0.85], atol=1e-12)
     assert iters >= 2
+
+
+def test_overflowing_step_ratio_does_not_block():
+    # (lo - x) / d overflows to +inf for a subnormal-scale direction d; an
+    # infinite ratio is "not blocking", and must not warn
+    q = np.array([[2.0, 2.2250738585072014e-308], [2.2250738585072014e-308, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, _ = _box_active_set(q, np.array([0.0, 0.5]), 0.0, 1.0)
+    assert np.array_equal(x, [0.0, 0.0])
 
 
 def test_box_solver_against_cholesky_least_squares():

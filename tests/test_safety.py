@@ -116,10 +116,13 @@ def test_spectrum_singular_raises():
 
 
 def test_spectrum_non_finite_raises():
+    # checked before the singular test: an infinite entry makes the singular
+    # threshold infinite, so diag(1, inf, 2) would read as singular
     mats = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
     mats[2, 0, 1] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(sd.NumericalError, match="not finite"):
-        sd.pure_deformation_spectrum(mats)
+    for q in (mats, np.diag([1.0, np.inf, 2.0])):
+        with pytest.raises(sd.NumericalError, match="not finite"):
+            sd.pure_deformation_spectrum(q)
 
 
 def test_min_pairwise_distance_decode():

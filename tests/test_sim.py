@@ -28,6 +28,15 @@ def test_helix_reference_vectorized_and_custom():
         sd.helix_reference(omega=0.0)
 
 
+@pytest.mark.parametrize("name, dt", [("helix", 0.1), ("square", None)])
+def test_position_on_a_grid_equals_per_t_calls(request, name, dt):
+    # the planner samples s(t) in one call; its rows must equal the one-sample path
+    sc = request.getfixturevalue(f"{name}_scenario")
+    t_grid = sd.time_grid(sc.sim.duration, dt or sc.sim.dt)
+    per_t = np.array([sc.trajectory.position(t) for t in t_grid])
+    assert sc.trajectory.position(t_grid).tobytes() == per_t.tobytes()
+
+
 def test_waypoint_reference_interpolates():
     times = [0.0, 1.0, 2.0, 4.0]
     points = [[0.0, 0.0, 0.0], [1.0, -1.0, 0.5], [0.5, 2.0, 1.0], [0.0, 0.0, 0.0]]
