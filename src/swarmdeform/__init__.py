@@ -15,7 +15,6 @@ from .hierarchy import (
     barycentric_weights,
     build_layer_weights,
     compose_delta_rows,
-    composite_weight_matrix,
     forward_pass,
     nominal_position,
     trajectory_positions,
@@ -67,7 +66,6 @@ from .team import (
     ValidationReport,
     build_cells,
     enclosing_triangle,
-    load_configuration,
     validate_team,
 )
 
@@ -102,12 +100,10 @@ __all__ = [
     "build_layer_weights",
     "certify_configuration",
     "compose_delta_rows",
-    "composite_weight_matrix",
     "enclosing_triangle",
     "forward_pass",
     "helix_reference",
     "kkt_residual",
-    "load_configuration",
     "load_scenario",
     "make_trajectory",
     "min_pairwise_distance",

@@ -142,10 +142,12 @@ def cmd_certify(args) -> int:
         schedule, _, _ = _plan(scenario, weights, args)
     desired = trajectory_positions(team, weights, schedule.alpha, schedule.shift)
     report = certify_configuration(team, schedule, desired, "desired")
-    print(report.summary())
+    # write first: a run that fails to write exits 2 and prints no verdict
     if args.out:
         write_certification(args.out, report, args.format,
                             [cell.cell_id for cell in team.cells])
+    print(report.summary())
+    if args.out:
         print(f"wrote certification trace to {args.out}")
     return 0 if report.verdict else 1
 

@@ -197,8 +197,3 @@ def nominal_position(team: TeamConfiguration, weights: LayerWeights,
     """Average desired position of the output layer (forward-pass route)."""
     idx = np.array(averaging_ids(team, weights, average)) - 1
     return forward_pass(team, weights, alpha, shift)[idx].mean(axis=0)
-
-
-def composite_weight_matrix(weights: LayerWeights) -> np.ndarray:
-    """The composite map C, shape (N, n_pl); read-only."""
-    return weights.composite

@@ -1,13 +1,16 @@
 """Per-timestep quadratic program for the leader scale factors.
 
-Decision vector X = [alpha_1 .. alpha_{n_pl}, s_x, s_y, s_z]. Equality rows pin
-the core scale factor to 0 and the shift block to the desired trajectory
-sample; inequality rows box the boundary scale factors. The equality variables
-are eliminated in closed form and the remaining box-constrained strictly
-convex problem is solved with a primal active-set iteration.
+Decision vector X = [y, x_pinned] with y = [alpha_1 .. alpha_{n_pl-1}] the
+boundary scale factors and x_pinned = [alpha_core, s_x, s_y, s_z]. The
+constraints have no general rows: the pinned block equals b_eq = [0, s] (an
+identity), and each box row alpha_min <= y_j <= alpha_max bounds one boundary
+scale. The pinned block is eliminated in closed form and the remaining
+box-constrained strictly convex problem in y is solved with a primal
+active-set iteration. Because every row touches one coordinate, the KKT
+multipliers follow from the gradient exactly (`_residuals`).
 
-H and the constraints are the same at every sample of a mission; only k and
-b_eq follow the desired shift. `alpha_schedule` therefore solves all samples
+H and the box are the same at every sample of a mission; only k and b_eq
+follow the desired shift. `alpha_schedule` therefore solves all samples
 in one stack, and `solve_box_eq_qp` is the one-sample case of the same code.
 
 Two scaling modes build the quadratic term:
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .errors import NumericalError, ScenarioError
 from .hierarchy import CompositeRows, LayerWeights, compose_delta_rows
@@ -42,10 +44,7 @@ KKT_ACTIVE_TOL = 1e-8
 class QpProblem:
     h: np.ndarray
     k: np.ndarray
-    a_ineq: np.ndarray
-    b_ineq: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
+    b_eq: np.ndarray        # pinned values [0, s] of [alpha_core, shift]
     n_pl: int
     zeta: float
     scaling: str
@@ -55,9 +54,6 @@ class QpProblem:
     @property
     def dim(self) -> int:
         return self.n_pl + 3
-
-    def objective(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self.h @ x + self.k @ x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +82,7 @@ class QpSolution:
 def assemble_problem(rows: CompositeRows, s_desired: np.ndarray,
                      bounds: tuple[float, float], zeta: float = 1e-6,
                      scaling: str = "consistent") -> QpProblem:
-    """Build H, k and the constraint blocks for one trajectory sample."""
+    """Build H, k and the pinned values b_eq for one trajectory sample."""
     if not 0.0 < zeta < math.inf:
         raise ScenarioError("zeta must be positive and finite")
     if scaling not in SCALING_MODES:
@@ -109,19 +105,7 @@ def assemble_problem(rows: CompositeRows, s_desired: np.ndarray,
     else:
         h = zeta * np.eye(dim) + rtr
     k, b_eq = _linear_terms(r, s_desired)
-
-    n_free = n_pl - 1
-    a_ineq = np.zeros((2 * n_free, dim))
-    a_ineq[:n_free, :n_free] = -np.eye(n_free)
-    a_ineq[n_free:, :n_free] = np.eye(n_free)
-    b_ineq = np.concatenate([np.full(n_free, -alpha_min), np.full(n_free, alpha_max)])
-
-    a_eq = np.zeros((4, dim))
-    a_eq[0, n_pl - 1] = 1.0
-    a_eq[1:, n_pl:] = np.eye(3)
-
-    return QpProblem(h, k, a_ineq, b_ineq, a_eq, b_eq, n_pl, zeta, scaling,
-                     alpha_min, alpha_max)
+    return QpProblem(h, k, b_eq, n_pl, zeta, scaling, alpha_min, alpha_max)
 
 
 def _linear_terms(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,12 +209,33 @@ class _Solved:
     iterations: np.ndarray  # (n,)
 
 
+def _residuals(problem: QpProblem, x: np.ndarray, k: np.ndarray, b_eq: np.ndarray,
+               at_lo: np.ndarray, at_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KKT residuals (n, 3) at points x (n, dim) and their active box rows.
+
+    Box rows [y >= alpha_min, y <= alpha_max] each touch one boundary scale,
+    so on the rows flagged in at_lo / at_hi (n, n_free) the multipliers
+    max(g, 0) / max(-g, 0) of the gradient g are the exact nonnegative
+    least-squares fit; the pinned block takes -g and is exactly stationary.
+    """
+    n_free = problem.n_pl - 1
+    y = x[:, :n_free]
+    g = _dot(problem.h[:n_free], x[:, None, :]) + k[:, :n_free]
+    mu_lo = np.where(at_lo, np.maximum(g, 0.0), 0.0)
+    mu_hi = np.where(at_hi, np.maximum(-g, 0.0), 0.0)
+    slack = np.concatenate([y - problem.alpha_min, problem.alpha_max - y], axis=1)
+    stationarity = np.max(np.abs(g - mu_lo + mu_hi), axis=1, initial=0.0)
+    primal = np.maximum(np.max(-slack, axis=1, initial=0.0),
+                        np.abs(x[:, n_free:] - b_eq).max(axis=1))
+    complementarity = np.max(np.abs(np.concatenate([mu_lo, mu_hi], axis=1) * slack),
+                             axis=1, initial=0.0)
+    return np.stack([stationarity, primal, complementarity], axis=1), slack <= 1e-9
+
+
 def _solve_stack(problem: QpProblem, k: np.ndarray, b_eq: np.ndarray) -> _Solved:
     """Solve `problem` once per row of k (n, dim) and b_eq (n, 4).
 
-    H and the constraint blocks are shared; the problem's own k and b_eq are
-    not used. KKT residuals use exact multipliers: the bound gradients on the
-    free block and -g on the pinned block.
+    H and the box are shared; the problem's own k and b_eq are not used.
     """
     n_free = problem.n_pl - 1
     h, lo, hi = problem.h, problem.alpha_min, problem.alpha_max
@@ -238,23 +243,11 @@ def _solve_stack(problem: QpProblem, k: np.ndarray, b_eq: np.ndarray) -> _Solved
     x[:, n_free:] = b_eq
     c_red = k[:, :n_free] + _dot(h[:n_free, n_free:], b_eq[:, None, :])
     x[:, :n_free], iterations = _box_active_set(h[:n_free, :n_free], c_red, lo, hi)
-
-    g = _dot(h, x[:, None, :]) + k
-    y, g_free = x[:, :n_free], g[:, :n_free]
-    collapsed = lo == hi
-    mu = np.concatenate([np.where(collapsed | (y == lo), np.maximum(g_free, 0.0), 0.0),
-                         np.where(collapsed | (y == hi), np.maximum(-g_free, 0.0), 0.0)],
-                        axis=1)
-    nu = -g[:, n_free:]
-    stationarity = np.abs(g + _dot(problem.a_ineq.T, mu[:, None, :])
-                          + _dot(problem.a_eq.T, nu[:, None, :])).max(axis=1)
-    slack = problem.b_ineq - _dot(problem.a_ineq, x[:, None, :])
-    primal = np.maximum(np.max(-slack, axis=1, initial=0.0),
-                        np.abs(_dot(problem.a_eq, x[:, None, :]) - b_eq).max(axis=1))
-    complementarity = np.max(np.abs(mu * slack), axis=1, initial=0.0)
+    y = x[:, :n_free]
+    kkt, active = _residuals(problem, x, k, b_eq, (y == lo) | (lo == hi),
+                             (y == hi) | (lo == hi))
     objective = 0.5 * _dot(x, _dot(h, x[:, None, :])) + _dot(k, x)
-    return _Solved(x, objective, np.stack([stationarity, primal, complementarity], axis=1),
-                   slack <= 1e-9, iterations)
+    return _Solved(x, objective, kkt, active, iterations)
 
 
 def solve_box_eq_qp(problem: QpProblem) -> QpSolution:
@@ -269,26 +262,17 @@ def solve_box_eq_qp(problem: QpProblem) -> QpSolution:
 def kkt_residual(problem: QpProblem, x: np.ndarray) -> tuple[float, float, float]:
     """Stationarity / primal / complementarity residuals at an arbitrary point.
 
-    Multipliers are recovered by a nonnegative least-squares fit supported on
-    the constraints active at `x`, so the stationarity figure is the best
+    A box row counts as active where its slack is at most KKT_ACTIVE_TOL
+    (inside, on or outside the box); its multiplier is the best
+    nonnegative fit to the gradient, so the stationarity figure is the best
     achievable for this point.
     """
-    x = np.asarray(x, dtype=float)
-    g = problem.h @ x + problem.k
-    slack = problem.b_ineq - problem.a_ineq @ x
-    primal = float(max(0.0, -slack.min() if slack.size else 0.0,
-                       np.abs(problem.a_eq @ x - problem.b_eq).max()))
-    active = np.where(slack <= KKT_ACTIVE_TOL)[0]
-    basis = np.vstack([problem.a_ineq[active], problem.a_eq])
-    lower = np.concatenate([np.zeros(active.size), np.full(4, -np.inf)])
-    upper = np.full(active.size + 4, np.inf)
-    fit = lsq_linear(basis.T, -g, bounds=(lower, upper))
-    mu = np.zeros(problem.a_ineq.shape[0])
-    mu[active] = fit.x[: active.size]
-    nu = fit.x[active.size:]
-    stationarity = float(np.abs(g + problem.a_ineq.T @ mu + problem.a_eq.T @ nu).max())
-    complementarity = float(np.abs(mu * slack).max()) if slack.size else 0.0
-    return (stationarity, primal, complementarity)
+    x = np.asarray(x, dtype=float)[None]
+    y = x[:, :problem.n_pl - 1]
+    kkt, _ = _residuals(problem, x, problem.k[None], problem.b_eq[None],
+                        y - problem.alpha_min <= KKT_ACTIVE_TOL,
+                        problem.alpha_max - y <= KKT_ACTIVE_TOL)
+    return tuple(float(v) for v in kkt[0])
 
 
 @dataclass(eq=False)

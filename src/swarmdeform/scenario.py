@@ -105,9 +105,20 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
+def _section(mapping: Mapping, key: str, where: str, required: bool = False) -> Mapping:
+    """The nested mapping under `key`; {} for a missing or null optional one."""
+    value = _require(mapping, key, where) if required else mapping.get(key)
+    if value is None and not required:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{where}.{key} must be a mapping" if where else
+                            f"{key} must be a mapping")
+    return value
+
+
 def _parse_team(doc: Mapping) -> TeamConfiguration:
-    tsec = _require(doc, "team", "")
-    ssec = _require(doc, "safety", "")
+    tsec = _section(doc, "team", "", required=True)
+    ssec = _section(doc, "safety", "", required=True)
     n = int(_require(tsec, "n_agents", "team"))
     layer_specs = _require(tsec, "layers", "team")
     new_sets = []
@@ -118,7 +129,7 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
         new_sets.append(tuple(sorted(ids)))
     partition = LayerPartition(tuple(new_sets))
 
-    pos_map = _require(tsec, "positions", "team")
+    pos_map = _section(tsec, "positions", "team", required=True)
     positions = np.full((n, 3), np.nan)
     for key, triple in pos_map.items():
         agent = int(key)
@@ -139,32 +150,34 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
                               boundary_reference_magnitude(positions, partition.n_pl))
 
     explicit_members = None
-    if "cell_members" in tsec and tsec["cell_members"] is not None:
+    if tsec.get("cell_members") is not None:
         explicit_members = {int(cid): _parse_ids(ids)
-                            for cid, ids in tsec["cell_members"].items()}
+                            for cid, ids in _section(tsec, "cell_members", "team").items()}
     cells = build_cells(partition, positions, explicit_members)
     return TeamConfiguration(partition, positions, cells, safety)
 
 
 def _parse_weights(doc: Mapping) -> WeightsSettings:
-    wsec = doc.get("weights") or {}
+    wsec = _section(doc, "weights", "")
     mode = _choice(wsec, "mode", "weights", "auto", ("auto", "explicit"))
     average = _choice(wsec, "average", "weights", "all", AVERAGING_MODES)
     matrices: list = []
     if mode == "explicit":
         for entry in _require(wsec, "matrices", "weights"):
             layer = int(_require(entry, "layer", "weights.matrices"))
-            rows = {int(a): {int(l): float(w) for l, w in row.items()}
-                    for a, row in _require(entry, "rows", "weights.matrices").items()}
-            matrices.append((layer, rows))
+            rows = _section(entry, "rows", "weights.matrices", required=True)
+            matrices.append((layer, {
+                int(a): {int(l): float(w) for l, w in
+                         _section(rows, a, "weights.matrices.rows", required=True).items()}
+                for a in rows}))
     return WeightsSettings(mode, average, tuple(matrices))
 
 
 def _parse_qp(doc: Mapping) -> QpSettings:
-    qsec = doc.get("qp") or {}
+    qsec = _section(doc, "qp", "")
     zeta = float(qsec.get("zeta", 1e-6))
     scaling = _choice(qsec, "scaling", "qp", "consistent", SCALING_MODES)
-    bsec = qsec.get("alpha_bounds") or {}
+    bsec = _section(qsec, "alpha_bounds", "qp")
     bounds_mode = _choice(bsec, "mode", "qp.alpha_bounds",
                           "safety" if "min" not in bsec else "fixed", ("fixed", "safety"))
     amin = amax = None
@@ -177,12 +190,12 @@ def _parse_qp(doc: Mapping) -> QpSettings:
 
 
 def _parse_sim(doc: Mapping) -> SimSettings:
-    ssec = doc.get("sim") or {}
+    ssec = _section(doc, "sim", "")
     duration = float(ssec.get("duration", 100.0))
     dt = float(ssec.get("dt", 0.1))
     if duration <= 0.0 or dt <= 0.0:
         raise ScenarioError("sim.duration and sim.dt must be positive")
-    gains = ssec.get("gains") or {}
+    gains = _section(ssec, "gains", "sim")
     kp = float(gains.get("kp", 4.0))
     kd = float(gains.get("kd", 4.0))
     mode = _choice(ssec, "mode", "sim", "closed-loop", SIM_MODES)
@@ -205,7 +218,7 @@ def parse_scenario(doc: Mapping) -> Scenario:
             team=team,
             weights=_parse_weights(doc),
             qp=_parse_qp(doc),
-            trajectory=make_trajectory(_require(doc, "trajectory", "")),
+            trajectory=make_trajectory(_section(doc, "trajectory", "", required=True)),
             sim=_parse_sim(doc),
             validation=report,
         )

@@ -36,9 +36,6 @@ class ReferenceTrajectory:
         """Desired shift at time(s) t; scalar -> (3,), array (n,) -> (n, 3)."""
         return self._fn(np.asarray(t, dtype=float))
 
-    def __call__(self, t) -> np.ndarray:
-        return self.position(t)
-
 
 def helix_reference(omega: float = 0.01,
                     amplitudes=DEFAULT_HELIX_AMPLITUDES) -> ReferenceTrajectory:

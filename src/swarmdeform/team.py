@@ -110,11 +110,6 @@ class TeamConfiguration:
         ids = np.array([cell.vertices for cell in self.cells], dtype=int).reshape(-1, 3)
         return self.positions[ids - 1]
 
-    def cell(self, cell_id: int) -> TriangleCell:
-        if not 1 <= cell_id <= len(self.cells):
-            raise ScenarioError(f"unknown cell id {cell_id}")
-        return self.cells[cell_id - 1]
-
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1)
@@ -200,17 +195,6 @@ def enclosing_triangle(team: TeamConfiguration, point: np.ndarray) -> TriangleCe
     if index < 0:
         raise ScenarioError(f"point {point.tolist()} is outside the leading polygon")
     return team.cells[index]
-
-
-def triangle_min_separation(team: TeamConfiguration, cell_id: int) -> float:
-    """Minimum pairwise material separation among a cell's members."""
-    cell = team.cell(cell_id)
-    if len(cell.members) < 2:
-        raise ScenarioError(f"cell {cell_id} has fewer than 2 members")
-    sep = float(pdist(team.positions[[m - 1 for m in cell.members]]).min())
-    if sep <= 0.0:
-        raise ScenarioError(f"coincident agents in cell {cell_id}")
-    return sep
 
 
 def boundary_reference_magnitude(positions: np.ndarray, n_pl: int) -> float:
@@ -314,10 +298,3 @@ def validate_team(team: TeamConfiguration) -> ValidationReport:
         warnings.append("a_max does not exceed 2*(delta+epsilon); the safety window is empty")
 
     return ValidationReport(violations, warnings)
-
-
-def load_configuration(source) -> TeamConfiguration:
-    """Load and validate a team from a scenario document (path or mapping)."""
-    from .scenario import load_scenario
-
-    return load_scenario(source).team

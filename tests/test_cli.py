@@ -303,3 +303,37 @@ def test_unwritable_out_exit_code(capsys, tmp_path, command, target):
     captured = capsys.readouterr()
     assert code == 2
     assert f"error: cannot write trace file {out}" in captured.err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("qp",), 5),
+    (("sim",), 5),
+    (("weights",), [1]),
+    (("trajectory",), 5),
+    (("sim", "gains"), 7),
+    (("qp", "alpha_bounds"), [0.5, 1.0]),
+    (("team", "positions"), [1, 2]),
+    (("team", "cell_members"), [1]),
+], ids=["qp", "sim", "weights", "trajectory", "gains", "alpha-bounds", "positions",
+        "cell-members"])
+def test_wrong_type_scenario_section_exit_code(capsys, tmp_path, path, value):
+    # a section that is not a mapping is a scenario error, not a traceback
+    doc = node = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code = main(["plan", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {'.'.join(path)} must be a mapping" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_certify_unwritable_out_prints_no_verdict(capsys, tmp_path):
+    code = main(["certify", "--config", SQUARE, "--T", "2", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "SAFE" not in captured.out

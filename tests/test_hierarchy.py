@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import swarmdeform as sd
-from swarmdeform.hierarchy import (ROW_SUM_TOL, averaging_ids, barycentric_weights,
-                                   composite_weight_matrix)
+from swarmdeform.hierarchy import ROW_SUM_TOL, averaging_ids, barycentric_weights
 from swarmdeform.scenario import WeightsSettings
 
 
@@ -52,7 +51,7 @@ def test_forward_pass_shape_validation(square_team, square_weights):
 
 def test_composite_matrix_matches_forward_pass(helix_team, helix_weights):
     rng = np.random.default_rng(11)
-    w_full = composite_weight_matrix(helix_weights)
+    w_full = helix_weights.composite
     assert w_full.shape == (67, 7)
     assert np.max(np.abs(w_full.sum(axis=1) - 1.0)) < 1e-12
     for _ in range(5):
@@ -143,7 +142,6 @@ def test_explicit_composite_equals_layer_product(square_team):
     weights = sd.build_layer_weights(square_team, EXPLICIT_SQUARE)
     assert weights.composite.shape == product.shape == (13, 5)
     assert np.max(np.abs(weights.composite - product)) <= 1e-15
-    assert np.array_equal(composite_weight_matrix(weights), weights.composite)
 
 
 def test_explicit_weights_validation(square_team):

@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
 import swarmdeform as sd
-from swarmdeform.qp import _box_active_set
+from swarmdeform.qp import KKT_ACTIVE_TOL, _box_active_set
 
 from conftest import grid_search_solution, random_planner_instance
 
@@ -22,12 +25,10 @@ def test_assemble_consistent_structure(square_rows):
     assert problem.dim == 8
     assert np.array_equal(problem.h, 2.0 * 1e-6 * np.eye(8) + 2.0 * rtr)
     assert np.array_equal(problem.k, -2.0 * (r.T @ s))
-    # box rows on the four boundary scale factors only
-    assert np.array_equal(problem.a_ineq[:4, :4], -np.eye(4))
-    assert np.array_equal(problem.a_ineq[4:, :4], np.eye(4))
-    assert np.all(problem.a_ineq[:, 4:] == 0.0)
-    assert np.array_equal(problem.b_ineq, [-0.5] * 4 + [1.1] * 4)
-    assert np.array_equal(problem.a_eq @ np.arange(8.0), [4.0, 5.0, 6.0, 7.0])
+    # box [0.5, 1.1] on the four boundary scale factors; core scale and shift
+    # pinned to [0, s]
+    assert problem.n_pl == 5
+    assert (problem.alpha_min, problem.alpha_max) == (0.5, 1.1)
     assert np.array_equal(problem.b_eq, [0.0, 0.3, -0.2, 0.1])
 
 
@@ -85,12 +86,14 @@ def test_interior_solution_matches_equality_kkt_oracle():
         rows, s, _ = random_planner_instance(rng)
         problem = sd.assemble_problem(rows, s, (-10.0, 10.0), scaling="paper-exact")
         sol = sd.solve_box_eq_qp(problem)
-        # wide box: only the equality block binds, so the full KKT system is linear
+        # wide box: only the pinned block binds, so the full KKT system is linear
         dim = problem.dim
+        a_eq = np.zeros((4, dim))
+        a_eq[:, problem.n_pl - 1:] = np.eye(4)
         kkt = np.zeros((dim + 4, dim + 4))
         kkt[:dim, :dim] = problem.h
-        kkt[:dim, dim:] = problem.a_eq.T
-        kkt[dim:, :dim] = problem.a_eq
+        kkt[:dim, dim:] = a_eq.T
+        kkt[dim:, :dim] = a_eq
         rhs = np.concatenate([-problem.k, problem.b_eq])
         x_direct = np.linalg.solve(kkt, rhs)[:dim]
         assert np.max(np.abs(sol.x - x_direct)) < 1e-9
@@ -154,6 +157,65 @@ def test_kkt_residual_flags_perturbed_points(square_rows):
     nudged[0] += 0.05  # stays inside the box, off the optimum
     worse = sd.kkt_residual(problem, nudged)
     assert worse[0] > 1e-3
+
+
+def nnls_kkt_oracle(problem, x):
+    """KKT residuals with multipliers from a bounded least-squares fit over
+    dense constraint rows: box rows with slack <= KKT_ACTIVE_TOL (multipliers
+    >= 0) and the pinned-block identity rows (free multipliers)."""
+    n_free, dim = problem.n_pl - 1, problem.dim
+    a_ineq = np.zeros((2 * n_free, dim))
+    a_ineq[:n_free, :n_free] = -np.eye(n_free)
+    a_ineq[n_free:, :n_free] = np.eye(n_free)
+    b_ineq = np.concatenate([np.full(n_free, -problem.alpha_min),
+                             np.full(n_free, problem.alpha_max)])
+    a_eq = np.zeros((4, dim))
+    a_eq[:, n_free:] = np.eye(4)
+    g = problem.h @ x + problem.k
+    slack = b_ineq - a_ineq @ x
+    primal = max(0.0, -slack.min(), np.abs(a_eq @ x - problem.b_eq).max())
+    active = np.flatnonzero(slack <= KKT_ACTIVE_TOL)
+    basis = np.vstack([a_ineq[active], a_eq])
+    lower = np.concatenate([np.zeros(active.size), np.full(4, -np.inf)])
+    fit = lsq_linear(basis.T, -g, bounds=(lower, np.inf), method="bvls")
+    mu = np.zeros(2 * n_free)
+    mu[active] = fit.x[:active.size]
+    stationarity = np.abs(g + a_ineq.T @ mu + a_eq.T @ fit.x[active.size:]).max()
+    return stationarity, primal, np.abs(mu * slack).max()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), collapse=st.booleans(), off_pinned=st.booleans(),
+       where=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
+                                st.sampled_from([-1e-3, -1e-9, 0.0, 1e-9, 1e-3])),
+                      min_size=3, max_size=3))
+def test_kkt_residual_matches_nnls_oracle(seed, collapse, off_pinned, where):
+    # each boundary scale sits at lo, mid-box or hi plus an offset that keeps
+    # it there or moves it just inside or outside; the box may be collapsed
+    rng = np.random.default_rng(seed)
+    rows, s, bounds = random_planner_instance(rng)
+    if collapse:
+        bounds = (bounds[0], bounds[0])
+    problem = sd.assemble_problem(rows, s, bounds, scaling="paper-exact")
+    lo, hi = problem.alpha_min, problem.alpha_max
+    y = [lo + f * (hi - lo) + e for f, e in where[:problem.n_pl - 1]]
+    pinned = problem.b_eq + (rng.normal(scale=1e-3, size=4) if off_pinned else 0.0)
+    x = np.concatenate([y, pinned])
+    got = sd.kkt_residual(problem, x)
+    assert np.max(np.abs(np.subtract(got, nnls_kkt_oracle(problem, x)))) <= 1e-9
+
+
+def test_square_schedule_rows_pass_kkt_residual(square_team, square_weights,
+                                                square_scenario):
+    bounds = sd.planning_bounds(square_scenario)
+    grid = sd.time_grid(square_scenario.sim.duration, square_scenario.sim.dt)
+    schedule = sd.alpha_schedule(square_team, square_weights, square_scenario.trajectory,
+                                 grid, bounds, square_scenario.qp.zeta, "paper-exact")
+    rows = sd.compose_delta_rows(square_team, square_weights)
+    for i, t in enumerate(schedule.t):
+        problem = sd.assemble_problem(rows, square_scenario.trajectory.position(t), bounds,
+                                      square_scenario.qp.zeta, "paper-exact")
+        assert max(sd.kkt_residual(problem, schedule.decision_vector(i))) <= 1e-8
 
 
 def test_schedule_matches_per_step_solves(square_team, square_weights, square_scenario):

@@ -22,7 +22,6 @@ def test_helix_reference_vectorized_and_custom():
     assert batch.shape == (7, 3)
     for i, ti in enumerate(t):
         assert np.array_equal(batch[i], traj.position(ti))
-        assert np.array_equal(traj(ti), traj.position(ti))
     assert np.max(np.abs(batch[:, 0] - 0.02 * t)) < 1e-15
     with pytest.raises(sd.ScenarioError, match="omega"):
         sd.helix_reference(omega=0.0)

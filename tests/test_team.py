@@ -3,7 +3,7 @@ import pytest
 
 import swarmdeform as sd
 from swarmdeform.team import (boundary_reference_magnitude, cell_vertex_positions,
-                              projected_weights, triangle_min_separation)
+                              projected_weights)
 
 from conftest import SCENARIO_DIR, leaders_only_team
 
@@ -56,7 +56,6 @@ def test_square_cells_membership_and_p_min(square_team):
         assert cell.members == expected_members[cell.cell_id]
         # closest pair is interior leader vs follower: |(1, -0.5, 0)| = sqrt(1.25)
         assert cell.p_min == pytest.approx(np.sqrt(1.25), abs=1e-15)
-        assert triangle_min_separation(square_team, cell.cell_id) == cell.p_min
 
 
 def test_helix_cells_cover_all_agents(helix_team):
@@ -173,6 +172,6 @@ def test_cell_vertex_positions(square_team):
 
 
 def test_load_configuration_from_path():
-    team = sd.load_configuration(SCENARIO_DIR / "square13.yaml")
+    team = sd.load_scenario(SCENARIO_DIR / "square13.yaml").team
     assert team.n_agents == 13
     assert team.n_pl == 5
