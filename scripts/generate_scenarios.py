@@ -139,9 +139,9 @@ def verify_helix(pos: dict[int, tuple[Fraction, Fraction, Fraction]]) -> TeamCon
 
     # symmetric team + exact-zero centroid: planner rides the lower bound
     weights = build_layer_weights(team)
-    rows = compose_delta_rows(team, weights)
+    r = compose_delta_rows(team, weights)
     for lo, s in ((window.alpha_min, (0.0, 0.0, 0.6)), (0.6, (2.3, -0.4, 0.1))):
-        sol = solve_box_eq_qp(assemble_problem(rows, np.array(s), (lo, 5.0)))
+        sol = solve_box_eq_qp(assemble_problem(r, np.array(s), (lo, 5.0)))
         assert np.all(sol.alpha[:6] == lo), sol.alpha
         assert max(sol.kkt) <= 1e-8, sol.kkt
     print(f"helix67 ok: window [{window.alpha_min:.6f}, {window.alpha_max:.6f}], "

@@ -10,9 +10,7 @@ Jacobian certifies inter-agent clearance along the whole plan.
 
 from .errors import NumericalError, SafetyWindowError, ScenarioError, SwarmError
 from .hierarchy import (
-    CompositeRows,
     LayerWeights,
-    barycentric_weights,
     build_layer_weights,
     compose_delta_rows,
     forward_pass,
@@ -65,7 +63,6 @@ from .team import (
     TriangleCell,
     ValidationReport,
     build_cells,
-    enclosing_triangle,
     validate_team,
 )
 
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificationReport",
-    "CompositeRows",
     "ControllerGains",
     "LayerPartition",
     "LayerWeights",
@@ -95,12 +91,10 @@ __all__ = [
     "alpha_bounds",
     "alpha_schedule",
     "assemble_problem",
-    "barycentric_weights",
     "build_cells",
     "build_layer_weights",
     "certify_configuration",
     "compose_delta_rows",
-    "enclosing_triangle",
     "forward_pass",
     "helix_reference",
     "kkt_residual",

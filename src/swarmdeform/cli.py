@@ -89,8 +89,8 @@ def cmd_plan(args) -> int:
     window = alpha_bounds(team)  # raises on an empty safety window
     schedule, bounds, scaling = _plan(scenario, weights, args)
 
-    rows = compose_delta_rows(team, weights, scenario.weights.average)
-    nominal = schedule.alpha @ rows.delta.T + schedule.shift
+    r = compose_delta_rows(team, weights, scenario.weights.average)
+    nominal = schedule.alpha @ r[:, :team.n_pl].T + schedule.shift
     gap = float(np.linalg.norm(nominal - scenario.trajectory.position(schedule.t),
                                axis=1).max())
     boundary = schedule.alpha[:, :team.n_pl - 1]

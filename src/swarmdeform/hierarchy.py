@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .team import (CONTAINMENT_TOL, TeamConfiguration, TriangleCell, cell_coordinates,
-                   cell_vertex_positions, enclosing_cells, projected_weights)
+from .team import TeamConfiguration, cell_coordinates, enclosing_cells
 
 ROW_SUM_TOL = 1e-12
 # agents averaged into the nominal position: all of W_p, or the last new set
@@ -25,26 +24,12 @@ def _clip_rows(weights: np.ndarray) -> np.ndarray:
     """Barycentric rows clipped into [0, 1], each row the clip moved rescaled to sum 1.
 
     Roundoff from the projection solve may leave weights a hair outside
-    [0, 1]; containment accepts them down to -CONTAINMENT_TOL, far more than
+    [0, 1]; containment accepts them down to -team.CONTAINMENT_TOL, far more than
     ROW_SUM_TOL, so a clipped row has to be renormalised.
     """
     clipped = np.clip(weights, 0.0, 1.0)
     moved = np.any(clipped != weights, axis=-1, keepdims=True)
     return np.where(moved, clipped / clipped.sum(axis=-1, keepdims=True), clipped)
-
-
-def barycentric_weights(point: np.ndarray, cell: TriangleCell,
-                        team: TeamConfiguration) -> np.ndarray:
-    """Weights of `point` over the cell's vertices (core, boundary_a, boundary_b).
-
-    The point must lie inside or on the cell under the projected test.
-    """
-    v0, v1, v2 = cell_vertex_positions(team, cell)
-    w = projected_weights(v0, v1, v2, np.asarray(point, dtype=float))
-    if np.any(w < -CONTAINMENT_TOL):
-        raise ScenarioError(
-            f"point {np.asarray(point).tolist()} lies outside cell {cell.cell_id}")
-    return _clip_rows(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,33 +147,16 @@ def forward_pass(team: TeamConfiguration, weights: LayerWeights,
     return trajectory_positions(team, weights, [alpha], [shift])[0]
 
 
-@dataclass(frozen=True, eq=False)
-class CompositeRows:
-    """Per-axis composite rows mapping the decision vector to the nominal position.
-
-    delta has shape (3, n_pl); row `a` dotted with the scale factors gives the
-    nominal offset from the shift along axis `a`. The full decision vector is
-    X = [alpha_1 .. alpha_{n_pl}, s_x, s_y, s_z].
-    """
-
-    delta: np.ndarray
-    n_avg: int
-
-    @property
-    def n_pl(self) -> int:
-        return self.delta.shape[1]
-
-    def r_matrix(self) -> np.ndarray:
-        """Rows [delta_a | e_a], shape (3, n_pl + 3)."""
-        return np.hstack([self.delta, np.eye(3)])
-
-
 def compose_delta_rows(team: TeamConfiguration, weights: LayerWeights,
-                       average: str = "all") -> CompositeRows:
-    """Average the rows of C into the three composite planner rows."""
+                       average: str = "all") -> np.ndarray:
+    """The output layer R = [delta | I], shape (3, n_pl + 3).
+
+    delta is the averaged rows of C times the leaders' material positions, so
+    R @ X is the nominal position for X = [alpha_1 .. alpha_{n_pl}, s_x, s_y, s_z].
+    """
     rows = weights.composite[np.array(averaging_ids(team, weights, average)) - 1]
     delta = (rows.sum(axis=0)[None, :] * team.leader_positions.T) / rows.shape[0]
-    return CompositeRows(delta, rows.shape[0])
+    return np.hstack([delta, np.eye(3)])
 
 
 def nominal_position(team: TeamConfiguration, weights: LayerWeights,

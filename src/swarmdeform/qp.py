@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ScenarioError
-from .hierarchy import CompositeRows, LayerWeights, compose_delta_rows
+from .hierarchy import LayerWeights, compose_delta_rows
 from .team import TeamConfiguration
 
 SCALING_MODES = ("consistent", "paper-exact")
@@ -79,10 +79,13 @@ class QpSolution:
         return (self.stationarity, self.primal, self.complementarity)
 
 
-def assemble_problem(rows: CompositeRows, s_desired: np.ndarray,
+def assemble_problem(r: np.ndarray, s_desired: np.ndarray,
                      bounds: tuple[float, float], zeta: float = 1e-6,
                      scaling: str = "consistent") -> QpProblem:
-    """Build H, k and the pinned values b_eq for one trajectory sample."""
+    """Build H, k and the pinned values b_eq for one trajectory sample.
+
+    `r` is the output layer R (3, n_pl + 3) of `compose_delta_rows`.
+    """
     if not 0.0 < zeta < math.inf:
         raise ScenarioError("zeta must be positive and finite")
     if scaling not in SCALING_MODES:
@@ -96,16 +99,14 @@ def assemble_problem(rows: CompositeRows, s_desired: np.ndarray,
     if s_desired.shape != (3,) or not np.all(np.isfinite(s_desired)):
         raise ScenarioError("desired shift must be a finite [x, y, z] triple")
 
-    n_pl = rows.n_pl
-    dim = n_pl + 3
-    r = rows.r_matrix()
+    dim = r.shape[1]
     rtr = r.T @ r
     if scaling == "consistent":
         h = 2.0 * zeta * np.eye(dim) + 2.0 * rtr
     else:
         h = zeta * np.eye(dim) + rtr
     k, b_eq = _linear_terms(r, s_desired)
-    return QpProblem(h, k, b_eq, n_pl, zeta, scaling, alpha_min, alpha_max)
+    return QpProblem(h, k, b_eq, dim - 3, zeta, scaling, alpha_min, alpha_max)
 
 
 def _linear_terms(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,17 +309,17 @@ def alpha_schedule(team: TeamConfiguration, weights: LayerWeights, trajectory,
     H and the constraints are the same at every sample; only k and b_eq
     follow the desired shift, sampled in one `trajectory.position(t_grid)`
     call. Each row equals `solve_box_eq_qp` on
-    `assemble_problem(rows, trajectory.position(t))` bit for bit wherever that
+    `assemble_problem(r, trajectory.position(t))` bit for bit wherever that
     call's rows equal the one-t calls, as they do on the shipped trajectories.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    rows = compose_delta_rows(team, weights, average)
+    r = compose_delta_rows(team, weights, average)
     shifts = np.asarray(trajectory.position(t_grid), dtype=float)
     if shifts.shape != (t_grid.size, 3) or not np.all(np.isfinite(shifts)):
         raise ScenarioError("desired shift must be a finite [x, y, z] triple")
-    problem = assemble_problem(rows, np.zeros(3), bounds, zeta, scaling)
-    out = _solve_stack(problem, *_linear_terms(rows.r_matrix(), shifts))
-    n_pl = rows.n_pl
+    problem = assemble_problem(r, np.zeros(3), bounds, zeta, scaling)
+    out = _solve_stack(problem, *_linear_terms(r, shifts))
+    n_pl = problem.n_pl
     return Schedule(t_grid.copy(), out.x[:, :n_pl], out.x[:, n_pl:], out.objective,
                     out.kkt, float(bounds[0]), float(bounds[1]), zeta, scaling,
                     out.iterations, out.active.sum(axis=1))

@@ -21,7 +21,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError, SafetyWindowError
 from .qp import Schedule
-from .team import SafetyParameters, TeamConfiguration, TriangleCell, cell_vertex_positions
+from .team import SafetyParameters, TeamConfiguration, TriangleCell
 
 # how far below its bound a deformation margin or a distance may fall and pass
 MARGIN_TOL = 1e-9
@@ -37,11 +37,17 @@ class SafetyBounds:
 
 
 def safety_window(separations: Iterable[float], safety: SafetyParameters) -> SafetyBounds:
-    """Scale window from per-cell minimum separations and clearance margins."""
+    """Scale window from per-cell minimum separations and clearance margins.
+
+    Every input must be finite: `min` and `max` skip a nan that is not first,
+    and an infinite a_max would open the window's upper edge.
+    """
     seps = [float(s) for s in separations]
+    clearance = safety.clearance
+    if not all(map(math.isfinite, seps + [clearance, safety.a_max, safety.a0])):
+        raise SafetyWindowError("cell separations, clearance, a_max and a0 must be finite")
     if not seps or min(seps) <= 0.0:
         raise SafetyWindowError("cell separations must be positive")
-    clearance = safety.clearance
     alpha_min = max(clearance / s for s in seps)
     alpha_max = (safety.a_max - clearance) / safety.a0
     if alpha_min > alpha_max:
@@ -74,7 +80,7 @@ class CellBasis:
 
 
 def cell_basis(team: TeamConfiguration, cell: TriangleCell) -> CellBasis:
-    core, va, vb = cell_vertex_positions(team, cell)
+    core, va, vb = team.positions[np.array(cell.vertices) - 1]
     a1 = va - core
     a2 = vb - core
     normal = np.cross(a1, a2)
@@ -97,15 +103,12 @@ def cell_basis(team: TeamConfiguration, cell: TriangleCell) -> CellBasis:
 
 
 def triangle_jacobian(team: TeamConfiguration, cell: TriangleCell,
-                      alpha: np.ndarray, shift: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Deformation Jacobian and offset of one cell for a full alpha vector."""
+                      alpha: np.ndarray) -> np.ndarray:
+    """Deformation Jacobian Q (3, 3) of one cell for a full alpha vector."""
     alpha = np.asarray(alpha, dtype=float)
     basis = cell_basis(team, cell)
     ia, ib = basis.alpha_index
-    q = alpha[ia] * basis.k1 + alpha[ib] * basis.k2 + basis.k3
-    b = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
-    return q, b
+    return alpha[ia] * basis.k1 + alpha[ib] * basis.k2 + basis.k3
 
 
 def pure_deformation_spectrum(q: np.ndarray) -> np.ndarray:

@@ -198,6 +198,8 @@ def _parse_sim(doc: Mapping) -> SimSettings:
     gains = _section(ssec, "gains", "sim")
     kp = float(gains.get("kp", 4.0))
     kd = float(gains.get("kd", 4.0))
+    if not (np.isfinite(kp) and np.isfinite(kd)):
+        raise ScenarioError(f"sim.gains.kp and sim.gains.kd must be finite, got {kp} and {kd}")
     mode = _choice(ssec, "mode", "sim", "closed-loop", SIM_MODES)
     return SimSettings(duration, dt, kp, kd, mode)
 

@@ -153,23 +153,24 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
             raise ScenarioError("initial positions must be one triple per agent")
 
     actual = np.empty_like(desired)
+    tracking = np.zeros(n_steps + 1)
     if mode == "open-loop":
         actual[:] = desired
     else:
         limit = DIVERGENCE_FACTOR * team.safety.delta
         v = np.zeros_like(r)
         actual[0] = r
+        tracking[0] = np.linalg.norm(r - desired[0], axis=1).max()
         for i in range(1, n_steps + 1):
             v_des = (desired[i] - desired[i - 1]) / dt  # per step: no (n, N, 3) copy
             r, v = pd_step(r, v, desired[i], v_des, gains, dt)
             actual[i] = r
-            err = float(np.linalg.norm(r - desired[i], axis=1).max())
+            err = tracking[i] = np.linalg.norm(r - desired[i], axis=1).max()
             if not np.isfinite(err) or err > limit:
                 raise NumericalError(
                     f"simulation diverged at t={t_grid[i]:.3f}: "
                     f"tracking error {err:.3f} exceeds {limit:.3f}")
 
-    tracking = np.linalg.norm(actual - desired, axis=2).max(axis=1)
     min_des = closest_pairs(desired)[0]
     min_act = closest_pairs(actual)[0]
     return SimLog(t_grid, desired, actual, tracking, min_des, min_act,

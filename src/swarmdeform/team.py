@@ -147,15 +147,15 @@ def cell_coordinates(vertices: np.ndarray, points) -> np.ndarray:
     return projected_weights(vertices[:, 0], vertices[:, 1], vertices[:, 2], points)
 
 
+def _contained(weights: np.ndarray) -> np.ndarray:
+    """Which points of `cell_coordinates` lie in which cells, shape (..., n_cells)."""
+    return np.all(weights >= -CONTAINMENT_TOL, axis=-1)
+
+
 def enclosing_cells(weights: np.ndarray) -> np.ndarray:
     """Index of the lowest-id cell holding each point of `cell_coordinates`, else -1."""
-    inside = np.all(weights >= -CONTAINMENT_TOL, axis=-1)
+    inside = _contained(weights)
     return np.where(inside.any(axis=-1), inside.argmax(axis=-1), -1)
-
-
-def cell_vertex_positions(team: TeamConfiguration, cell: TriangleCell) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    c, a, b = cell.vertices
-    return team.positions[c - 1], team.positions[a - 1], team.positions[b - 1]
 
 
 def _fan_vertices(n_pl: int) -> list[tuple[int, int, int]]:
@@ -174,8 +174,7 @@ def build_cells(partition: LayerPartition, positions: np.ndarray,
     fan = _fan_vertices(partition.n_pl)
     members_of = explicit_members
     if members_of is None:
-        inside = np.all(cell_coordinates(positions[np.array(fan) - 1], positions)
-                        >= -CONTAINMENT_TOL, axis=-1)
+        inside = _contained(cell_coordinates(positions[np.array(fan) - 1], positions))
         members_of = {c + 1: (np.flatnonzero(col) + 1).tolist()
                       for c, col in enumerate(inside.T)}
     cells = []
@@ -186,15 +185,6 @@ def build_cells(partition: LayerPartition, positions: np.ndarray,
         p_min = float(pdist(positions[[m - 1 for m in members]]).min())
         cells.append(TriangleCell(cell_id, verts, members, p_min))
     return tuple(cells)
-
-
-def enclosing_triangle(team: TeamConfiguration, point: np.ndarray) -> TriangleCell:
-    """Lowest-id cell whose projected barycentric weights contain `point`."""
-    point = np.asarray(point, dtype=float)
-    index = int(enclosing_cells(cell_coordinates(team.cell_vertices, point)))
-    if index < 0:
-        raise ScenarioError(f"point {point.tolist()} is outside the leading polygon")
-    return team.cells[index]
 
 
 def boundary_reference_magnitude(positions: np.ndarray, n_pl: int) -> float:

@@ -81,7 +81,7 @@ def grid_search_solution(problem, m: int | None = None) -> tuple[np.ndarray, flo
 
 
 def random_planner_instance(rng):
-    """Random small planner instance (rows, s_desired, bounds) for oracle checks.
+    """Random small planner instance (R, s_desired, bounds) for oracle checks.
 
     Free-column conditioning is kept mild (singular values in [0.7, 1.4]) and
     the box is placed so the unconstrained optimum lands inside, near an edge,
@@ -94,7 +94,7 @@ def random_planner_instance(rng):
     delta = np.empty((3, n_pl))
     delta[:, :n_free] = cols[:, :n_free]
     delta[:, n_free] = rng.normal(size=3)
-    rows = sd.CompositeRows(delta, n_avg=1)
+    rows = np.hstack([delta, np.eye(3)])
 
     base = rng.uniform(0.3, 1.0)
     y_target = base + rng.uniform(-0.1, 0.1, size=n_free)

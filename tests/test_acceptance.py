@@ -98,7 +98,7 @@ def test_nominal_position_tracks_composite_rows(helix_scenario, helix_weights,
     worst = 0.0
     rng = np.random.default_rng(77)
     team = helix_scenario.team
-    r = sd.compose_delta_rows(team, helix_weights).r_matrix()
+    r = sd.compose_delta_rows(team, helix_weights)
     for _ in range(100):
         alpha = rng.uniform(0.6, 5.0, size=7)
         shift = 2.0 * rng.normal(size=3)

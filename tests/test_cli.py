@@ -165,7 +165,7 @@ def test_certify_nan_shift_is_unsafe(capsys, tmp_path, which):
     assert "distance nan" in captured.out
 
 
-def test_certify_scales_above_window_are_unsafe(capsys, tmp_path):
+def _planner_trace_with_boundary_scales_10(tmp_path):
     trace = tmp_path / "plan.csv"
     assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
     lines = trace.read_text().splitlines()
@@ -177,12 +177,32 @@ def test_certify_scales_above_window_are_unsafe(capsys, tmp_path):
             fields[column] = "10"
         lines[i] = ",".join(fields)
     trace.write_text("\n".join(lines) + "\n")
+    return trace
+
+
+def test_certify_scales_above_window_are_unsafe(capsys, tmp_path):
+    trace = _planner_trace_with_boundary_scales_10(tmp_path)
     capsys.readouterr()
     code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out.startswith("UNSAFE:")
     assert "boundary scale 10 outside the window (alpha_max 1.125, sample 0)" in captured.out
+
+
+def test_certify_infinite_a_max_exit_code(capsys, tmp_path):
+    # an infinite a_max would open the window's upper edge and pass scales of 10
+    trace = _planner_trace_with_boundary_scales_10(tmp_path)
+    doc = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    doc["safety"]["a_max"] = float("inf")
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    capsys.readouterr()
+    code = main(["certify", "--config", str(config), "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: cell separations, clearance, a_max and a0 must be finite" in captured.err
+    assert captured.out == ""
 
 
 def test_certify_singular_jacobian_exit_code(capsys, tmp_path):
@@ -328,6 +348,22 @@ def test_wrong_type_scenario_section_exit_code(capsys, tmp_path, path, value):
     captured = capsys.readouterr()
     assert code == 2
     assert f"error: {'.'.join(path)} must be a mapping" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("gain", ["kp", "kd"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_gains_exit_code(capsys, tmp_path, gain, value):
+    # bad input, not a diverged simulation (exit 3)
+    doc = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    doc["sim"]["gains"][gain] = value
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code = main(["simulate", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: sim.gains.kp and sim.gains.kd must be finite" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

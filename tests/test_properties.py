@@ -335,7 +335,7 @@ def test_certificate_matches_svd_pdist_and_window_oracle(mission):
     desired = sd.trajectory_positions(team, weights, schedule.alpha, schedule.shift)
     report = sd.certify_configuration(team, schedule, desired)
 
-    svd = np.array([[np.linalg.svd(sd.triangle_jacobian(team, cell, row)[0], compute_uv=False)
+    svd = np.array([[np.linalg.svd(sd.triangle_jacobian(team, cell, row), compute_uv=False)
                      for cell in team.cells] for row in schedule.alpha])
     assert np.all(np.abs(report.lambdas - svd) <= 1e-12 * np.maximum(1.0, svd[..., :1]))
 

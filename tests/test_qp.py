@@ -20,7 +20,7 @@ def square_rows(square_team, square_weights):
 def test_assemble_consistent_structure(square_rows):
     s = np.array([0.3, -0.2, 0.1])
     problem = sd.assemble_problem(square_rows, s, (0.5, 1.1))
-    r = square_rows.r_matrix()
+    r = square_rows
     rtr = r.T @ r
     assert problem.dim == 8
     assert np.array_equal(problem.h, 2.0 * 1e-6 * np.eye(8) + 2.0 * rtr)
@@ -67,7 +67,7 @@ def test_zero_centroid_team_rides_lower_bound(square_rows):
     assert np.array_equal(sol.alpha, [0.5, 0.5, 0.5, 0.5, 0.0])
     assert np.array_equal(sol.shift, s)
     assert max(sol.kkt) <= 1e-8
-    nominal = square_rows.r_matrix() @ sol.x
+    nominal = square_rows @ sol.x
     assert np.max(np.abs(nominal - s)) < 1e-12
 
 
@@ -262,5 +262,5 @@ def test_paper_exact_unconstrained_overshoots_shift(square_team, square_weights)
     s = np.array([0.5, 0.25, 0.0])
     problem = sd.assemble_problem(rows, s, (-50.0, 50.0), scaling="paper-exact")
     sol = sd.solve_box_eq_qp(problem)
-    nominal = rows.r_matrix() @ sol.x
+    nominal = rows @ sol.x
     assert np.max(np.abs(nominal - 2.0 * s)) < 1e-3

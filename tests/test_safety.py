@@ -27,6 +27,29 @@ def test_safety_window_errors():
         sd.safety_window([2.0], tight)
 
 
+@pytest.mark.parametrize("separations, safety", [
+    ([1.0, np.nan], (0.1, 0.4, 101.0, 20.0)),
+    ([np.nan, 1.0], (0.1, 0.4, 101.0, 20.0)),
+    ([2.0, np.inf], (0.1, 0.4, 101.0, 20.0)),
+    ([2.0], (np.inf, 0.4, 101.0, 20.0)),
+    ([2.0], (0.1, 0.4, np.inf, 20.0)),
+    ([2.0], (0.1, 0.4, 101.0, np.nan)),
+], ids=["nan-last", "nan-first", "inf-separation", "inf-clearance", "inf-a_max", "nan-a0"])
+def test_safety_window_non_finite_raises(separations, safety):
+    # max() skips a nan that is not first, and an infinite a_max opens the
+    # upper edge; either would let a window through
+    with pytest.raises(sd.SafetyWindowError, match="must be finite"):
+        sd.safety_window(separations, sd.SafetyParameters(*safety))
+
+
+def test_alpha_bounds_infinite_a_max_raises(square_team):
+    team = dataclasses.replace(square_team,
+                               safety=dataclasses.replace(square_team.safety, a_max=np.inf))
+    assert sd.validate_team(team).ok
+    with pytest.raises(sd.SafetyWindowError, match="must be finite"):
+        sd.alpha_bounds(team)
+
+
 def test_alpha_bounds_square(square_team):
     window = sd.alpha_bounds(square_team)
     assert window.alpha_min == pytest.approx(0.4 / np.sqrt(1.25), abs=1e-15)
@@ -50,9 +73,8 @@ def test_cell_basis_partitions_identity(square_team):
         total = basis.k1 + basis.k2 + basis.k3
         assert np.max(np.abs(total - np.eye(3))) < 1e-14
         assert np.max(np.abs(basis.b1 + basis.b2 - np.eye(2))) < 1e-14
-        q, b = sd.triangle_jacobian(square_team, cell, np.ones(square_team.n_pl))
+        q = sd.triangle_jacobian(square_team, cell, np.ones(square_team.n_pl))
         assert np.max(np.abs(q - np.eye(3))) < 1e-14
-        assert np.array_equal(b, np.zeros(3))
 
 
 def test_cell_basis_degenerate_raises():
@@ -70,7 +92,7 @@ def test_uniform_scale_spectrum(square_team):
     alpha = np.full(5, 0.6)
     alpha[-1] = 0.0
     for cell in square_team.cells:
-        q, _ = sd.triangle_jacobian(square_team, cell, alpha)
+        q = sd.triangle_jacobian(square_team, cell, alpha)
         vals = sd.pure_deformation_spectrum(q)
         assert np.max(np.abs(vals - [1.0, 0.6, 0.6])) < 1e-12
 
@@ -84,7 +106,7 @@ def test_skewed_cell_dips_below_smaller_alpha():
     cell = sd.TriangleCell(1, (3, 1, 2), (1, 2, 3), 1.0)
     team = sd.TeamConfiguration(partition, positions, (cell,),
                                 sd.SafetyParameters(0.1, 0.4, 25.0, 1.0))
-    q, _ = sd.triangle_jacobian(team, cell, np.array([1.0, 0.5, 0.0]))
+    q = sd.triangle_jacobian(team, cell, np.array([1.0, 0.5, 0.0]))
     vals = sd.pure_deformation_spectrum(q)
     oracle = np.linalg.svd(q, compute_uv=False)
     assert np.max(np.abs(vals - oracle)) < 1e-12
@@ -273,7 +295,7 @@ def test_certified_spectra_of_folded_cells_match_svd(square_team, square_certifi
     alpha[:, 1] = 0.9
     folded = dataclasses.replace(schedule, alpha=alpha)
     report = sd.certify_configuration(square_team, folded, desired)
-    svd = np.array([[np.linalg.svd(sd.triangle_jacobian(square_team, cell, row)[0],
+    svd = np.array([[np.linalg.svd(sd.triangle_jacobian(square_team, cell, row),
                                    compute_uv=False) for cell in square_team.cells]
                     for row in alpha])
     assert np.max(np.abs(report.lambdas - svd)) <= 1e-12

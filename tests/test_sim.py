@@ -116,6 +116,16 @@ def test_tracking_error_mask(square_log):
         sd.tracking_error(square_log, after=1e6)
 
 
+def test_tracking_is_each_steps_error(square_log, helix_team, helix_weights, helix_scenario):
+    # the loop records the error its divergence guard checks; it must equal
+    # the whole-stack error bit for bit
+    helix_log = sd.run_simulation(helix_team, helix_weights, helix_scenario.trajectory,
+                                  duration=1000.0, dt=0.4, bounds=(0.6, 5.0))
+    for log in (square_log, helix_log):
+        stacked = np.linalg.norm(log.actual - log.desired, axis=2).max(axis=1)
+        assert np.array_equal(log.tracking, stacked)
+
+
 def test_open_loop_copies_commands(square_team, square_weights, square_scenario):
     log = sd.run_simulation(square_team, square_weights, square_scenario.trajectory,
                             duration=2.0, dt=0.5, bounds=(0.5, 1.1), mode="open-loop")

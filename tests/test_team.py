@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import swarmdeform as sd
-from swarmdeform.team import (boundary_reference_magnitude, cell_vertex_positions,
-                              projected_weights)
+from swarmdeform.team import (boundary_reference_magnitude, cell_coordinates,
+                              enclosing_cells, projected_weights)
 
 from conftest import SCENARIO_DIR, leaders_only_team
 
@@ -73,16 +73,21 @@ def test_explicit_members_too_small_raises(square_team):
 
 
 def test_enclosing_triangle_prefers_lowest_cell_id(square_team):
-    # on the shared edge of cells 1 and 2
-    cell = sd.enclosing_triangle(square_team, np.array([0.0, 2.0, 0.0]))
-    assert cell.cell_id == 1
-    cell = sd.enclosing_triangle(square_team, np.array([-2.0, -0.5, 0.0]))
-    assert cell.cell_id == 3
+    # the first point is on the shared edge of cells 1 and 2
+    points = np.array([[0.0, 2.0, 0.0], [-2.0, -0.5, 0.0], [4.0, 4.0, 0.0]])
+    index = enclosing_cells(cell_coordinates(square_team.cell_vertices, points))
+    assert index.tolist() == [0, 2, -1]
 
 
 def test_enclosing_triangle_outside_raises(square_team):
+    # an agent outside every cell has no barycentric row in the hierarchy
+    positions = np.vstack([square_team.positions, [4.0, 4.0, 0.0]])
+    partition = sd.LayerPartition(square_team.partition.new_sets[:-1]
+                                  + (square_team.partition.new_sets[-1] + (14,),))
+    team = sd.TeamConfiguration(partition, positions, sd.build_cells(partition, positions),
+                                square_team.safety)
     with pytest.raises(sd.ScenarioError, match="outside the leading polygon"):
-        sd.enclosing_triangle(square_team, np.array([4.0, 4.0, 0.0]))
+        sd.build_layer_weights(team)
 
 
 def test_validate_leaders_only_team_ok():
@@ -165,7 +170,7 @@ def test_boundary_reference_magnitude(helix_team):
 
 
 def test_cell_vertex_positions(square_team):
-    core, va, vb = cell_vertex_positions(square_team, square_team.cells[1])
+    core, va, vb = square_team.cell_vertices[1]
     assert np.array_equal(core, [0.0, 0.0, 0.0])
     assert np.array_equal(va, [0.0, 4.0, 0.0])
     assert np.array_equal(vb, [-4.0, 0.0, 0.0])
