@@ -200,6 +200,9 @@ def _parse_sim(doc: Mapping) -> SimSettings:
     kd = float(gains.get("kd", 4.0))
     if not (np.isfinite(kp) and np.isfinite(kd)):
         raise ScenarioError(f"sim.gains.kp and sim.gains.kd must be finite, got {kp} and {kd}")
+    if kp < 0.0 or kd < 0.0:
+        raise ScenarioError(
+            f"sim.gains.kp and sim.gains.kd must be non-negative, got {kp} and {kd}")
     mode = _choice(ssec, "mode", "sim", "closed-loop", SIM_MODES)
     return SimSettings(duration, dt, kp, kd, mode)
 

@@ -368,6 +368,21 @@ def test_non_finite_gains_exit_code(capsys, tmp_path, gain, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("gain", ["kp", "kd"])
+def test_negative_gains_exit_code(capsys, tmp_path, gain):
+    # a negative gain is bad input, not a diverged simulation (exit 3)
+    doc = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    doc["sim"]["gains"][gain] = -1.0
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code = main(["simulate", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: sim.gains.kp and sim.gains.kd must be non-negative" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_certify_unwritable_out_prints_no_verdict(capsys, tmp_path):
     code = main(["certify", "--config", SQUARE, "--T", "2", "--out", str(tmp_path)])
     captured = capsys.readouterr()

@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import swarmdeform as sd
 
@@ -30,8 +35,6 @@ def test_schedule_round_trip_bitwise(square_run, tmp_path, fmt):
 
 
 def test_schedule_without_kkt_writes_nan(square_run, tmp_path):
-    import dataclasses
-
     log, _ = square_run
     bare = dataclasses.replace(log.schedule, kkt=None)
     path = tmp_path / "plan.csv"
@@ -239,3 +242,109 @@ def test_read_back_schedule_writes_the_same_bytes(square_run, tmp_path, fmt):
     assert back.kkt.shape == (log.schedule.n_samples,)
     sd.write_schedule(second, back, fmt=fmt)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, delim", [("csv", ","), ("text", " ")])
+def test_long_schedule_with_nan_and_zero_columns(tmp_path, fmt, delim):
+    # like helix67's: a kkt-less (nan) column and an all-zero alpha column,
+    # over several formatting chunks
+    n = 10_000
+    rng = np.random.default_rng(11)
+    t = np.arange(n) * 0.4
+    alpha = np.column_stack([np.full(n, 0.6), np.zeros(n), rng.uniform(0.5, 5.0, n)])
+    shift = rng.normal(size=(n, 3)) * 100.0
+    objective = -rng.uniform(size=n)
+    schedule = sd.Schedule(t, alpha, shift, objective, None, 0.6, 5.0, 1e-6, "consistent")
+    path = tmp_path / f"plan.{fmt}"
+    sd.write_schedule(path, schedule, fmt=fmt)
+    header = ["t", "alpha_1", "alpha_2", "alpha_3", "s_x", "s_y", "s_z", "objective", "kkt"]
+    rows = [[t[i], *alpha[i], *shift[i], objective[i], math.nan] for i in range(n)]
+    assert path.read_bytes() == _format_rows(header, rows, delim).encode()
+
+
+def _assert_schedule_writes_format_17g(path, values):
+    # every column of the schedule holds `values`
+    schedule = sd.Schedule(values, values[:, None], np.column_stack([values] * 3), values,
+                           values, 0.5, 1.1, 1e-6, "consistent")
+    sd.write_schedule(path, schedule)
+    header = ["t", "alpha_1", "s_x", "s_y", "s_z", "objective", "kkt"]
+    assert path.read_bytes() == _format_rows(header, [[v] * 7 for v in values], ",").encode()
+
+
+def test_writer_matches_format_17g_beside_powers_of_ten_and_two(tmp_path):
+    # log10 misjudges the exponent next to a power of ten; the digits' proof
+    # must refuse those guesses, over the whole double range
+    tens = [float(f"1e{j}") for j in range(-330, 309)]
+    twos = [2.0**j for j in range(-1074, 1024)]
+    values = [v for p in tens + twos for v in (p, math.nextafter(p, 0.0),
+                                                 math.nextafter(p, math.inf), -p)]
+    _assert_schedule_writes_format_17g(tmp_path / "plan.csv",
+                                       np.array([v for v in values if math.isfinite(v)]))
+
+
+def test_writer_refuses_wrong_exponent_guesses(monkeypatch, tmp_path):
+    # the digits are accepted on their own proof, not on log10's exponent:
+    # with the guess one too low or too high, a value is refused and still
+    # comes out as format(x, ".17g")
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=3000) * 10.0 ** rng.uniform(-200, 200, 3000)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + np.resize([-0.7, 0.0, 0.7], a.shape))
+    _assert_schedule_writes_format_17g(tmp_path / "plan.csv", values)
+
+
+def _double(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writers")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.integers(0, 2**64 - 1).map(_double), st.floats()),
+                       min_size=1, max_size=12))
+# log10 rounds up just below a power of ten, so the first exponent guess is high
+@example(values=[math.nextafter(10.0 ** j, 0.0) for j in (-6, -5, -1, 0, 1, 15, 16, 22)]
+         + [math.nextafter(1e-300, 0.0), math.nextafter(1e300, 0.0)])
+@example(values=[2.0**-25])  # an exact tie at the 18th significant digit
+# 18th digits within about 2**-50 of a tie, not on it: the double-double
+# product alone would round them the wrong way
+@example(values=[5.264670116847178e-14, 6.83280278535067e-12])
+@example(values=[-math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308])
+@example(values=[1e16, math.nextafter(1e17, 0.0), 1e17])
+@example(values=[9.9999999999999995e-05, 1e-4])  # the fixed/scientific boundary
+def test_writers_give_format_17g_bytes_for_any_double(square_run, writer_dir, values):
+    _, report = square_run
+    v = np.array(values)
+    n = v.size
+    c = [np.roll(v, j) for j in range(9)]
+    positions = np.stack([np.column_stack(c[:3]), np.column_stack(c[3:6])], axis=1)
+    schedule = sd.Schedule(v, np.column_stack(c[1:3]), np.column_stack(c[3:6]), c[6], c[7],
+                           0.5, 1.1, 1e-6, "consistent")
+    log = sd.SimLog(v, positions, positions[:, ::-1], np.zeros(n), np.zeros(n), np.zeros(n),
+                    schedule, sd.ControllerGains(), "open-loop")
+    bounds = np.resize(v, 2)
+    margins = np.column_stack(c[7:9])
+    cert = dataclasses.replace(report, t=v, lambdas=positions, cell_bounds=bounds,
+                               margins=margins)
+    tol = cert.margin_tol
+    for fmt, delim in [("csv", ","), ("text", " ")]:
+        cases = [
+            (lambda p: sd.write_schedule(p, schedule, fmt),
+             ["t", "alpha_1", "alpha_2", "s_x", "s_y", "s_z", "objective", "kkt"],
+             [[c[j][i] for j in range(8)] for i in range(n)]),
+            (lambda p: sd.write_trajectory(p, log, [1, 2], fmt),
+             ["t", "agent_id", "x_des", "y_des", "z_des", "x_act", "y_act", "z_act"],
+             [[v[i], str(a + 1), *positions[i, a], *positions[i, 1 - a]]
+              for i in range(n) for a in range(2)]),
+            (lambda p: sd.write_certification(p, cert, fmt),
+             ["t", "cell_id", "lambda_1", "lambda_2", "lambda_3", "bound", "margin", "safe"],
+             [[v[i], str(j + 1), *positions[i, j], bounds[j], margins[i, j],
+               str(int(margins[i, j] >= -tol))] for i in range(n) for j in range(2)]),
+        ]
+        for write, header, rows in cases:
+            path = writer_dir / f"trace.{fmt}"
+            write(path)
+            assert path.read_bytes() == _format_rows(header, rows, delim).encode()
