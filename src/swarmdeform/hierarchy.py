@@ -88,6 +88,9 @@ def _auto_rows(team: TeamConfiguration, new: np.ndarray) -> tuple[np.ndarray, np
     if np.any(index < 0):
         point = team.positions[new[np.argmin(index)] - 1]
         raise ScenarioError(f"point {point.tolist()} is outside the leading polygon")
+    # of the cells holding an agent, the one it lies deepest in: the lowest id
+    # could hold it only within tolerance, and clipping that row would move it
+    index = weights.min(axis=-1).argmax(axis=-1)
     support = np.array([cell.vertices for cell in team.cells])[index]
     return _clip_rows(weights[np.arange(new.size), index]), support
 

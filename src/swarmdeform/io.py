@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -142,9 +143,14 @@ def _slots(texts) -> np.ndarray:
 _SIGNED_ZERO = _slots(["0", "-0"])
 
 
-def _int_slots(values: np.ndarray) -> np.ndarray:
-    """Slots of each value written with %d."""
-    return _slots(["%d" % v for v in values.tolist()])
+def _int_slots(ids) -> np.ndarray:
+    """Slots of each integer id written with %d from the integer itself, so an
+    id past 2**53 stays exact (and the readers refuse it); a float id is a
+    TypeError."""
+    texts = ["%d" % operator.index(v) for v in ids]
+    if max(map(len, texts), default=0) > 31:
+        raise ValueError("an id is wider than a 31-byte field")
+    return _slots(texts)
 
 
 def _float_slots(x) -> np.ndarray:
@@ -264,17 +270,22 @@ def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]
     Every block must list the first block's ids in the same order, each once,
     at a single t; anything else would pair a row with the wrong agent or cell.
     Blocks are k rows long, k the number of distinct ids, so when every block
-    repeats the first one, that block holds each id once.
+    repeats the first one, that block holds each id once. Ids must be integers
+    below 2**53 in magnitude: `astype(int)` would read an id 1.25 as a second
+    id 1, and a written id 2**53 + 1 parses to 2**53, so every id the writers
+    write either reads back exactly or is refused.
     """
     t, ids = data[:, 0], data[:, 1]
     k = np.unique(ids).size
     n = ids.size // k
+    first = ids[:k]
     if (ids.size % k
-            or not np.array_equal(ids.reshape(n, k), np.broadcast_to(ids[:k], (n, k)))
+            or not np.array_equal(ids.reshape(n, k), np.broadcast_to(first, (n, k)))
             or not np.array_equal(t.reshape(n, k), np.broadcast_to(t[::k, None], (n, k)),
-                                  equal_nan=True)):
+                                  equal_nan=True)
+            or not np.all((np.abs(first) < 2.0 ** 53) & (first == np.round(first)))):
         raise ScenarioError(f"malformed {kind} trace: {path}")
-    return t[::k], ids[:k].astype(int)
+    return t[::k], first.astype(int)
 
 
 def write_schedule(path, schedule: Schedule, fmt: str = "csv") -> None:
@@ -316,13 +327,13 @@ def read_schedule(path) -> Schedule:
 
 def write_trajectory(path, log: SimLog, agent_ids, fmt: str = "csv") -> None:
     header = ["t", "agent_id", "x_des", "y_des", "z_des", "x_act", "y_act", "z_act"]
-    ids = np.asarray(list(agent_ids), dtype=float)
+    id_slots = _int_slots(agent_ids)
     desired = log.desired.reshape(-1, 3)
     actual = log.actual.reshape(-1, 3)
-    t_slots, id_slots = _float_slots(log.t), _int_slots(ids)
+    t_slots = _float_slots(log.t)
 
     def block(s):
-        sample, agent = np.divmod(np.arange(s.start, s.stop), ids.size)
+        sample, agent = np.divmod(np.arange(s.start, s.stop), id_slots.shape[0])
         return _columns(t_slots[sample], id_slots[agent],
                         _float_slots(np.column_stack([desired[s], actual[s]])))
 
@@ -348,7 +359,6 @@ def write_certification(path, report: CertificationReport, fmt: str = "csv",
     n_cells = report.margins.shape[1]
     if cell_ids is None:
         cell_ids = range(1, n_cells + 1)
-    cell_ids = np.asarray(list(cell_ids), dtype=float)
     lambdas = report.lambdas.reshape(-1, 3)
     margins = report.margins.ravel()
     t_slots, id_slots = _float_slots(report.t), _int_slots(cell_ids)

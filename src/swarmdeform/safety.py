@@ -159,37 +159,180 @@ def _cell_spectra(bases: list[CellBasis], alpha: np.ndarray) -> np.ndarray:
                      np.minimum(small, 1.0)], axis=-1)
 
 
-# Teams of at least this many agents sweep each sample through a k-d tree;
-# smaller ones through pdist, which is faster there. Per-sample sweep of a
-# slowly moving jittered lattice (best of 7, two runs, 2-core Xeon VM): pdist
-# 60-64 against 101-116 us at N = 128, 130-137 against 141-152 us at N = 224,
-# 121-153 against 98-151 us at N = 256, 1.8-1.9 against 0.36-0.51 ms at N = 1024.
+# Distance sweep. `closest_pairs` takes each sample's closest pair from one of
+# three paths, and every path gives what pdist and a first argmin give, bit
+# for bit: candidate distances are recomputed with pdist's arithmetic
+# (`_pair_distances`) and taken in pdist's condensed order, and a pair is left
+# out only when its computed distance provably exceeds a candidate's, so every
+# pair that reaches the minimum is a candidate.
+#
+# 1. Per-sample pdist: samples that are not finite (their distances read
+#    nan), samples with a coordinate above _MAX_COORD, teams of fewer than
+#    _SHARE pairs, and the backoff runs of path 2.
+# 2. Anchored sweep, teams below KDTREE_MIN_AGENTS. An anchor sample a gets a
+#    full pdist. A finite sample s after it checks only the pairs whose anchor
+#    distance D0 is at most U + 2R + slack. U is the distance at s of the
+#    anchor's closest pair, so the minimum at s is at most U. R is half the
+#    diagonal of the bounding box of the agents' displacements from a, so no
+#    displacement is farther than R from the box centre c, a common
+#    translation; with u_k = w_k - c, |D_s - D0| <= |u_i - u_j| <= 2R for every
+#    pair, and a pair left out is farther apart than U at s. The samples
+#    after an anchor go in blocks of _LOOKAHEAD[0], doubling up to
+#    _LOOKAHEAD[1], until a bound admits more than 1/_SHARE of the pairs; that
+#    sample is the next anchor. An anchor whose first block does not fit
+#    whole starts a run of per-sample pdist, 1, 2, 4, ... up to _BACKOFF_MAX
+#    samples long, so a deforming mission stays on path 1 but for a rare
+#    anchor.
+#    The slack is absolute in the coordinate magnitude M, not only relative
+#    to the distances. A computed distance is within 4 unit roundoffs
+#    (u = 2**-53) of the distance between the stored doubles, but the
+#    displacements are differences of coordinates, each rounded to within
+#    u*|w| <= 2u*M, which is large against R after a large common
+#    translation. The bound needs 8u*(U + 2R) + 8u*R + 7u*M; _SLACK times
+#    (U + 2R + M), 32u, covers twice that, and _TINY covers squares that
+#    underflow (an absolute error below 2**-536 in a distance). Below
+#    _MAX_COORD no square overflows.
+# 3. k-d tree, teams of KDTREE_MIN_AGENTS and up (`_tree_closest`). Its warm
+#    radius, the distance at s of the previous sample's closest pair, is used
+#    while it is at most _WARM_RATIO times D_min(s - 1) - 2R, a lower bound on
+#    the minimum at s (R between samples s - 1 and s); after a jump it could
+#    take in up to all N(N-1)/2 pairs, and the nearest-neighbour radius is
+#    taken instead.
+#
+# Measured on a 2-core Xeon VM (helix67 at dt 0.4, 2501 samples, N = 67):
+# - KDTREE_MIN_AGENTS: per-sample sweep of a slowly moving jittered lattice
+#   (best of 7, two runs): pdist 60-64 against 101-116 us at N = 128, 130-137
+#   against 141-152 us at N = 224, 121-153 against 98-151 us at N = 256,
+#   1.8-1.9 against 0.36-0.51 ms at N = 1024.
+# - _SHARE: a rigid helix67 translation ties 24 pairs (1.1 %) at the minimum,
+#   which 1/128 (17 pairs) no longer admits; paper-exact bounds admit a median
+#   2.5 % of the pairs one sample after an anchor and 8.7 % four samples
+#   after, so at 1/32 it keeps 2492 of 2501 samples on pdist. 69 candidates
+#   cost about 2 us a sample against 24 us for pdist and its argmin.
+# - _LOOKAHEAD: an anchor whose first block fails costs about 94 us, 2.5
+#   pdists. With first blocks of 4, paper-exact at dt 0.1 (10001 samples) took
+#   5612 samples from short anchored runs and swept up to 27 % slower than
+#   per-sample pdist; with 8 it keeps 9863 on pdist. Blocks of 256 spread the
+#   per-block calls to under 1 us a sample.
+# - _BACKOFF_MAX: at 128 paper-exact spends 7 % of its sweep on 27 failed
+#   anchors, at 1024 3 % on 13.
+# - _WARM_RATIO: on hex2k (N = 2269, closed loop) the warm radius reaches 8.7
+#   times the lower bound; at 16 every sample after the first stays warm.
 KDTREE_MIN_AGENTS = 256
+_SHARE = 32
+_LOOKAHEAD = (8, 256)
+_BACKOFF_MAX = 1024
+_SLACK = 2.0 ** -48
+_TINY = 2.0 ** -500
+_MAX_COORD = 2.0 ** 500
+_WARM_RATIO = 16.0
 
 
 def _pair_distances(p: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances of pairs (i, j), summed in pdist's order so the bits agree."""
-    d = p[i] - p[j]
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    """Distances of pairs (i, j) in each sample of p (..., N, 3), summed in
+    pdist's order so the bits agree."""
+    d = p[..., i, :] - p[..., j, :]
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
 
 
-def _tree_closest(p: np.ndarray, bound: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """Closest distance and first closest pair of a finite sample.
+def _reach(w: np.ndarray) -> np.ndarray:
+    """Half the diagonal of the bounding box of each sample's displacements w
+    (..., N, 3): no agent's displacement is farther than that from the box centre."""
+    u = np.moveaxis(w, -1, 0).copy()   # reduce over contiguous agents
+    half = 0.5 * (u.max(axis=-1) - u.min(axis=-1))
+    return np.sqrt(half[0] * half[0] + half[1] * half[1] + half[2] * half[2])
 
-    Every pair within a radius is a candidate. The radius is the exact
-    distance of `bound`, a pair at least as far apart as the closest one, or
-    else the k-d tree's nearest-neighbour distance. Between nearby samples the
-    previous pair's distance is close to the minimum, so few pairs qualify,
-    and it saves the nearest-neighbour query, which costs more than building
-    the tree and collecting the pairs together.
+
+def _follow(stack: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int, i: np.ndarray,
+            j: np.ndarray, limit: int, dist: np.ndarray, condensed: np.ndarray) -> int:
+    """Sweep the finite samples after anchor a, up to `end`, on the pairs its bound admits.
+
+    `d0` is the anchor's pdist and `k0` its first argmin. Stops before the
+    first sample whose bound admits more than `limit` pairs, or with a
+    coordinate above _MAX_COORD, and returns the number of samples swept: none
+    unless the first block fits whole.
+    """
+    anchor = stack[a]
+    top = np.abs(anchor).max()
+    closest = (i[k0:k0 + 1], j[k0:k0 + 1])
+    s, size = a + 1, _LOOKAHEAD[0]
+    while s < end and top <= _MAX_COORD:
+        block = stack[s:min(s + size, end)]
+        scale = np.maximum(np.abs(block).max(axis=(1, 2)), top)
+        if scale.max() > _MAX_COORD:
+            end = s + int(np.argmax(scale > _MAX_COORD))
+            if end == s:
+                break
+            block, scale = block[:end - s], scale[:end - s]
+        bound = _pair_distances(block, *closest)[:, 0] + 2.0 * _reach(block - anchor)
+        bound += _SLACK * (bound + scale) + _TINY
+        pick = np.flatnonzero(d0 <= bound.max())
+        q = block.shape[0]
+        if pick.size > limit:
+            if s == a + 1:
+                break
+            # bounds below the cap admit at most `limit` pairs, and the largest does not
+            cap = np.partition(d0[pick], limit)[limit]
+            q = int(np.argmin(bound < cap))
+            pick = pick[d0[pick] <= bound[:q].max()] if q else pick
+        if q:
+            d = _pair_distances(block[:q], i[pick], j[pick])
+            first = d.argmin(axis=1)
+            dist[s:s + q] = d[np.arange(q), first]
+            condensed[s:s + q] = pick[first]
+            s += q
+        if q < block.shape[0]:
+            break
+        size = min(2 * size, _LOOKAHEAD[1])
+    return s - a - 1
+
+
+def _anchored_closest(stack: np.ndarray, finite: np.ndarray, dist: np.ndarray,
+                      condensed: np.ndarray) -> None:
+    """Fill the closest distance and its pdist index of every sample: paths 1 and 2."""
+    n, m = stack.shape[:2]
+    i, j = np.triu_indices(m, 1)
+    limit = i.size // _SHARE
+    stops = np.append(np.flatnonzero(~finite), n)   # samples that end a finite run
+    s = wait = 0
+    while s < n:
+        end = stops[np.searchsorted(stops, s)]
+        p = stack[s]
+        if end == s:
+            p = np.where(np.isfinite(p), p, np.nan)   # a lone inf would leave the min finite
+        d = pdist(p)
+        k = d.argmin()
+        dist[s] = d[k]
+        condensed[s] = k
+        swept = _follow(stack, s, end, d, k, i, j, limit, dist,
+                        condensed) if limit and end > s + 1 else 0
+        s += 1 + swept
+        if swept or end <= s:
+            wait = 0
+            continue
+        wait = min(2 * wait, _BACKOFF_MAX) or 1
+        for s in range(s, min(s + wait, end)):
+            d = pdist(stack[s])
+            k = d.argmin()
+            dist[s] = d[k]
+            condensed[s] = k
+        s += 1
+
+
+def _tree_closest(p: np.ndarray, radius: float | None) -> tuple[float, np.ndarray]:
+    """Closest distance and first closest pair of a finite sample: path 3.
+
+    Every pair within `radius`, a pair's distance at this sample and so at
+    least the minimum, or else the nearest-neighbour distance, is a candidate.
+    Between nearby samples the previous pair's distance is close to the
+    minimum, so few pairs qualify, and it saves the nearest-neighbour query,
+    which costs more than building the tree and collecting the pairs together.
     """
     tree = cKDTree(p)
-    if bound is None:
-        r = tree.query(p, k=2)[0][:, 1].min()
-    else:
-        r = _pair_distances(p, bound[:1], bound[1:])[0]
+    if radius is None:
+        radius = tree.query(p, k=2)[0][:, 1].min()
     # the slack covers the tree's own rounding of the radius pair
-    i, j = tree.query_pairs(r * (1.0 + 1e-9), output_type="ndarray").T
+    i, j = tree.query_pairs(radius * (1.0 + 1e-9), output_type="ndarray").T
     d = _pair_distances(p, i, j)
     first = np.lexsort((j, i, d))[0]
     return d[first], np.array([i[first], j[first]])
@@ -208,25 +351,29 @@ def closest_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need at least two positions per sample in an (n, N, 3) "
                          f"stack, got shape {stack.shape}")
     n, m = stack.shape[:2]
-    use_tree = m >= KDTREE_MIN_AGENTS
-    finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
+    finite = np.isfinite(stack).all(axis=(1, 2))
     dist = np.empty(n)
     pairs = np.empty((n, 2), dtype=np.intp)
     condensed = np.full(n, -1)   # pdist index of the closest pair, pdist samples
-    pair = None   # the previous sample's closest pair, when it bounds this one
-    for s, p in enumerate(stack):
-        if use_tree and finite[s]:
-            dist[s], pair = _tree_closest(p, pair)
+    if m < KDTREE_MIN_AGENTS:
+        _anchored_closest(stack, finite, dist, condensed)
+    else:
+        pair = None   # the previous sample's closest pair
+        for s, p in enumerate(stack):
+            if not finite[s]:
+                _anchored_closest(stack[s:s + 1], finite[s:s + 1], dist[s:s + 1],
+                                  condensed[s:s + 1])
+                pair = None
+                continue
+            radius = None
+            if pair is not None:
+                warm = _pair_distances(p, pair[:1], pair[1:])[0]
+                with np.errstate(over="ignore", invalid="ignore"):   # nan: no warm radius
+                    lower = dist[s - 1] - 2.0 * _reach(p - stack[s - 1])
+                if warm <= _WARM_RATIO * lower:
+                    radius = warm
+            dist[s], pair = _tree_closest(p, radius)
             pairs[s] = pair
-            continue
-        if not finite[s]:
-            # as nan, not inf: a lone inf agent would leave the minimum finite
-            p = np.where(np.isfinite(p), p, np.nan)
-        d = pdist(p)
-        k = d.argmin()
-        dist[s] = d[k]
-        condensed[s] = k
-        pair = None
     rows = np.arange(m - 1)
     starts = rows * (2 * m - rows - 1) // 2   # condensed index of pair (i, i + 1)
     by_pdist = condensed >= 0

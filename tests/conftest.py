@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 import swarmdeform as sd
 
@@ -104,3 +105,21 @@ def random_planner_instance(rng):
     half = rng.uniform(0.05, 0.15)
     center = base + rng.uniform(-0.05, 0.05)
     return rows, s_desired, (center - half, center + half)
+
+
+def first_argmin_oracle(stack):
+    """pdist and a first argmin per sample; non-finite coordinates read as nan."""
+    i, j = np.triu_indices(stack.shape[1], 1)
+    dist, pairs = [], []
+    for p in stack:
+        d = pdist(np.where(np.isfinite(p), p, np.nan))
+        k = int(np.argmin(d))
+        dist.append(d[k])
+        pairs.append((i[k], j[k]))
+    return np.array(dist), np.array(pairs)
+
+
+def sparse_lattice():
+    """40 agents on sparse sites of a lattice of spacing 2, few of them 2 apart."""
+    sites = np.unravel_index(np.random.default_rng(3).permutation(20 ** 3)[:40], (20,) * 3)
+    return 2.0 * np.stack(sites, axis=1)

@@ -120,6 +120,48 @@ def test_readers_keep_the_written_id_order(square_run, tmp_path):
     assert sd.read_certification(path)[1].tolist() == [4, 3, 2, 1]
 
 
+def test_writers_format_ids_from_the_integers(square_run, tmp_path):
+    log, report = square_run
+    big = 2**53 + 1   # float64 would round it to 2**53
+    one_agent = dataclasses.replace(log, desired=log.desired[:, :1], actual=log.actual[:, :1])
+    path = tmp_path / "traj.csv"
+    sd.write_trajectory(path, one_agent, [big])
+    assert {line.split(",")[1] for line in path.read_text().splitlines()[1:]} == {str(big)}
+    # it parses to 2**53, so readers refuse ids from 2**53 on
+    with pytest.raises(sd.ScenarioError, match="malformed trajectory trace"):
+        sd.read_trajectory(path)
+    path = tmp_path / "cert.csv"
+    sd.write_certification(path, report, cell_ids=[1, 2, 3, -big])
+    assert path.read_text().splitlines()[4].split(",")[1] == str(-big)
+    with pytest.raises(sd.ScenarioError, match="malformed certification trace"):
+        sd.read_certification(path)
+    with pytest.raises(TypeError):
+        sd.write_trajectory(path, one_agent, [1.0])
+
+
+@pytest.mark.parametrize("text", ["1.25", "9007199254740992", "-9007199254740993", "inf",
+                                  "nan"])
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_readers_reject_ids_that_are_not_exact_integers(square_run, tmp_path, text, fmt):
+    # agent 2 reads `text` in every block, so the blocks still agree
+    log, _ = square_run
+    path = tmp_path / f"traj.{fmt}"
+    sd.write_trajectory(path, log, range(1, 14), fmt)
+    delim = "," if fmt == "csv" else " "
+    lines = path.read_text().splitlines()
+    rows = [line.split(delim) for line in lines[1:]]
+    for row in rows:
+        row[1] = text if row[1] == "2" else row[1]
+    path.write_text("\n".join([lines[0]] + [delim.join(row) for row in rows]) + "\n")
+    with pytest.raises(sd.ScenarioError, match="malformed trajectory trace"):
+        sd.read_trajectory(path)
+    rows = [line.split(delim) for line in lines[1:]]
+    for row in rows:
+        row[1] = "-9007199254740991" if row[1] == "2" else row[1]   # 1 - 2**53 is exact
+    path.write_text("\n".join([lines[0]] + [delim.join(row) for row in rows]) + "\n")
+    assert sd.read_trajectory(path)[1].tolist() == [1, 1 - 2**53, *range(3, 14)]
+
+
 def test_unknown_format_rejected(square_run, tmp_path):
     log, _ = square_run
     with pytest.raises(sd.ScenarioError, match="unknown trace format"):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import swarmdeform as sd
-from swarmdeform.safety import cell_basis, min_pairwise_distance
+from conftest import first_argmin_oracle, sparse_lattice
+from swarmdeform import safety
+from swarmdeform.safety import KDTREE_MIN_AGENTS, cell_basis, closest_pairs, min_pairwise_distance
+from swarmdeform.scenario import planning_bounds
 
 
 def test_safety_window_frozen_values():
@@ -164,6 +167,100 @@ def test_min_pairwise_distance_decode():
             assert d == pytest.approx(best, rel=1e-12)
     with pytest.raises(ValueError, match="at least two"):
         min_pairwise_distance(np.zeros((1, 3)))
+
+
+def _counting_pdist(monkeypatch):
+    calls = []
+
+    def pdist(p):
+        calls.append(1)
+        return safety_pdist(p)
+
+    safety_pdist = safety.pdist
+    monkeypatch.setattr(safety, "pdist", pdist)
+    return calls
+
+
+@pytest.mark.parametrize("start", [9, 10], ids=["block-edge", "mid-block"])
+@pytest.mark.parametrize("scale", [1e-200, 1e160], ids=["underflow", "overflow"])
+def test_closest_pairs_extreme_coordinates_match_pdist(monkeypatch, scale, start):
+    # from sample `start` on, the team sits at `scale`: its squares underflow
+    # to 0 or overflow to inf, which the anchored bound cannot reason about
+    stack = sparse_lattice()[None] + 0.25 * np.arange(16)[:, None, None]
+    stack[start:] *= scale
+    calls = _counting_pdist(monkeypatch)
+    dist, pairs = closest_pairs(stack)
+    ref_dist, ref_pairs = first_argmin_oracle(stack)
+    assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
+    # the samples before `start` come from the first anchor's blocks (8, then
+    # 16 cut short), the scaled ones from pdist
+    assert len(calls) == 1 + 16 - start
+
+
+@pytest.fixture(scope="module")
+def helix_sweeps(helix_scenario, helix_weights):
+    """Desired and actual stacks of the 1000 s helix67 mission at dt 0.4, per
+    scaling mode; paper-exact starts from its first command, consistent from
+    the material configuration (the benchmark's two helix67 workloads)."""
+    sc = helix_scenario
+    stacks = {}
+    for scaling in ("consistent", "paper-exact"):
+        grid = sd.time_grid(sc.sim.duration, 0.4)
+        schedule = sd.alpha_schedule(sc.team, helix_weights, sc.trajectory, grid,
+                                     planning_bounds(sc), sc.qp.zeta, scaling)
+        first = sd.trajectory_positions(sc.team, helix_weights, schedule.alpha[:1],
+                                        schedule.shift[:1])[0]
+        log = sd.run_simulation(sc.team, helix_weights, sc.trajectory, sc.sim.duration,
+                                0.4, planning_bounds(sc), sc.qp.zeta, scaling,
+                                initial_positions=None if scaling == "consistent" else first)
+        stacks[scaling] = {"desired": log.desired, "actual": log.actual}
+    return stacks
+
+
+@pytest.mark.parametrize("kind", ["desired", "actual"])
+@pytest.mark.parametrize("scaling", ["consistent", "paper-exact"])
+def test_helix_sweep_matches_pdist_and_skips_it_when_rigid(monkeypatch, helix_sweeps,
+                                                           scaling, kind):
+    stack = helix_sweeps[scaling][kind]
+    calls = _counting_pdist(monkeypatch)
+    dist, pairs = closest_pairs(stack)
+    ref_dist, ref_pairs = first_argmin_oracle(stack)
+    assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
+    share = len(calls) / stack.shape[0]
+    # a rigid translation (consistent commands) needs pdist on its anchors
+    # only; a deforming team (paper-exact) stays on per-sample pdist
+    if scaling == "paper-exact":
+        assert share >= 0.95
+    elif kind == "desired":
+        assert share < 0.05
+
+
+def test_tree_warm_radius_falls_back_after_a_jump(monkeypatch):
+    rng = np.random.default_rng(7)
+    m = KDTREE_MIN_AGENTS
+    sites = np.stack(np.unravel_index(rng.permutation(7 ** 3)[:m], (7,) * 3), axis=1)
+    first = sites + 0.3 * rng.uniform(-1.0, 1.0, (m, 3))
+    drift = first + 0.01 * rng.normal(size=(m, 3))
+    jump = drift[rng.permutation(m)]
+    stack = np.stack([first, drift, jump, jump + 0.01 * rng.normal(size=(m, 3))])
+    radii = []
+
+    class RecordingTree(safety.cKDTree):
+        def query_pairs(self, r, *args, **kwargs):
+            radii.append(r)
+            return super().query_pairs(r, *args, **kwargs)
+
+    monkeypatch.setattr(safety, "cKDTree", RecordingTree)
+    dist, pairs = closest_pairs(stack)
+    ref_dist, ref_pairs = first_argmin_oracle(stack)
+    assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
+    # the drift sample's closest pair is far apart after the jump, so a warm
+    # radius would take in many pairs; the jump sample asks for the
+    # nearest-neighbour radius instead, and the samples around it stay tight
+    stale = np.linalg.norm(jump[pairs[1, 0]] - jump[pairs[1, 1]])
+    assert stale > 3.0 * dist[2]
+    assert radii[2] == pytest.approx(dist[2] * (1.0 + 1e-9), rel=1e-12)
+    assert np.all(np.array(radii) <= 1.01 * dist)
 
 
 @pytest.fixture(scope="module")
