@@ -241,7 +241,15 @@ def _write_table(path, header: list[str], blocks, fmt: str) -> None:
         raise ScenarioError(f"cannot write trace file {path}: {exc.strerror}") from None
 
 
-def _read_table(path) -> tuple[list[str], np.ndarray]:
+def _read_table(path, kind: str, fits, ids: bool = False) -> tuple[list[str], np.ndarray]:
+    """Header and rows of a `kind` trace whose header passes `fits`.
+
+    Rows are floats (rows, columns), or with `ids` structured rows of t, an
+    int64 id and the other columns as `values`: the id column is parsed as
+    integer text in the same pass, so an id such as 1.0, 1e3, nan or
+    4503599627370496.5 (a double that rounds to an integer) makes the trace
+    malformed, as any field of it that does not parse does.
+    """
     try:
         with open(path) as fh:  # streamed: no whole-file string, no per-row float lists
             lines = (line for line in fh if line.strip())
@@ -249,17 +257,23 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
             if not second:
                 raise ScenarioError(f"{'malformed' if first else 'empty'} trace file {path}")
             header = first.replace(",", " ").split()
-            try:  # np.loadtxt parses each field exactly as float() does
-                data = np.loadtxt(itertools.chain([second], lines), comments=None, ndmin=2,
-                                  delimiter="," if "," in first else None)
+            if not fits(header):
+                raise ScenarioError(f"not a {kind} trace: {path}")
+            dtype = (np.dtype([("t", float), ("id", np.int64),
+                               ("values", float, (len(header) - 2,))]) if ids else float)
+            try:  # np.loadtxt parses each float field exactly as float() does
+                data = np.loadtxt(itertools.chain([second], lines), dtype, comments=None,
+                                  delimiter="," if "," in first else None,
+                                  ndmin=1 if ids else 2)
             except UnicodeDecodeError:  # a ValueError too, but not a malformed row
                 raise
-            except ValueError:  # a non-numeric field, or rows of unequal length
-                raise ScenarioError(f"malformed trace file {path}") from None
+            except ValueError:  # a field that does not parse, or a row of another length
+                raise ScenarioError(f"malformed {kind} trace: {path}" if ids
+                                    else f"malformed trace file {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc.reason
         raise ScenarioError(f"cannot read trace file {path}: {reason}") from None
-    if data.shape[1] != len(header):
+    if not ids and data.shape[1] != len(header):
         raise ScenarioError(f"malformed trace file {path}")
     return header, data
 
@@ -270,12 +284,11 @@ def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]
     Every block must list the first block's ids in the same order, each once,
     at a single t; anything else would pair a row with the wrong agent or cell.
     Blocks are k rows long, k the number of distinct ids, so when every block
-    repeats the first one, that block holds each id once. Ids must be integers
-    below 2**53 in magnitude: `astype(int)` would read an id 1.25 as a second
-    id 1, and a written id 2**53 + 1 parses to 2**53, so every id the writers
-    write either reads back exactly or is refused.
+    repeats the first one, that block holds each id once. Ids must be below
+    2**53 in magnitude, where a double holds every integer, so an accepted
+    trace names the same agents or cells when read as all floats.
     """
-    t, ids = data[:, 0], data[:, 1]
+    t, ids = data["t"], data["id"]
     k = np.unique(ids).size
     n = ids.size // k
     first = ids[:k]
@@ -283,9 +296,9 @@ def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]
             or not np.array_equal(ids.reshape(n, k), np.broadcast_to(first, (n, k)))
             or not np.array_equal(t.reshape(n, k), np.broadcast_to(t[::k, None], (n, k)),
                                   equal_nan=True)
-            or not np.all((np.abs(first) < 2.0 ** 53) & (first == np.round(first)))):
+            or not np.all((first > -2**53) & (first < 2**53))):
         raise ScenarioError(f"malformed {kind} trace: {path}")
-    return t[::k], first.astype(int)
+    return t[::k], first
 
 
 def write_schedule(path, schedule: Schedule, fmt: str = "csv") -> None:
@@ -311,11 +324,10 @@ def read_schedule(path) -> Schedule:
     they come back as nan / "unknown". The kkt column holds the per-sample
     maximum residual.
     """
-    header, data = _read_table(path)
-    alpha_cols = [i for i, name in enumerate(header) if name.startswith("alpha_")]
-    if header[0] != "t" or not alpha_cols or header[-2:] != ["objective", "kkt"]:
-        raise ScenarioError(f"not a planner trace: {path}")
-    n_pl = len(alpha_cols)
+    header, data = _read_table(path, "planner", lambda header: (
+        header[0] == "t" and any(name.startswith("alpha_") for name in header)
+        and header[-2:] == ["objective", "kkt"]))
+    n_pl = sum(name.startswith("alpha_") for name in header)
     t = data[:, 0]
     alpha = data[:, 1:1 + n_pl]
     shift = data[:, 1 + n_pl:4 + n_pl]
@@ -342,13 +354,13 @@ def write_trajectory(path, log: SimLog, agent_ids, fmt: str = "csv") -> None:
 
 def read_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (t, agent_ids, desired, actual) with positions (n, N, 3)."""
-    header, data = _read_table(path)
-    if header[:2] != ["t", "agent_id"] or len(header) != 8:
-        raise ScenarioError(f"not a trajectory trace: {path}")
+    _, data = _read_table(path, "trajectory",
+                          lambda header: header[:2] == ["t", "agent_id"] and len(header) == 8,
+                          ids=True)
     t, ids = _samples(path, data, "trajectory")
     n, n_agents = t.size, ids.size
-    desired = data[:, 2:5].reshape(n, n_agents, 3)
-    actual = data[:, 5:8].reshape(n, n_agents, 3)
+    desired = data["values"][:, 0:3].reshape(n, n_agents, 3)
+    actual = data["values"][:, 3:6].reshape(n, n_agents, 3)
     return t, ids, desired, actual
 
 
@@ -375,12 +387,13 @@ def write_certification(path, report: CertificationReport, fmt: str = "csv",
 
 def read_certification(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (t, cell_ids, lambdas (n, n_cells, 3), bounds, margins)."""
-    header, data = _read_table(path)
-    if header[:2] != ["t", "cell_id"] or len(header) != 8:
-        raise ScenarioError(f"not a certification trace: {path}")
+    _, data = _read_table(path, "certification",
+                          lambda header: header[:2] == ["t", "cell_id"] and len(header) == 8,
+                          ids=True)
     t, cells = _samples(path, data, "certification")
     n, n_cells = t.size, cells.size
-    lambdas = data[:, 2:5].reshape(n, n_cells, 3)
-    bounds = data[:n_cells, 5]
-    margins = data[:, 6].reshape(n, n_cells)
+    values = data["values"]
+    lambdas = values[:, 0:3].reshape(n, n_cells, 3)
+    bounds = values[:n_cells, 3]
+    margins = values[:, 4].reshape(n, n_cells)
     return t, cells, lambdas, bounds, margins

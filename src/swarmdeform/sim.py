@@ -25,6 +25,9 @@ DEFAULT_HELIX_AMPLITUDES = (0.4, 0.4, 0.6)
 SIM_MODES = ("closed-loop", "open-loop")
 # a closed-loop run aborts once an agent strays this many deltas from command
 DIVERGENCE_FACTOR = 100.0
+# the closed loop steps in blocks of at most this many coordinates (at least
+# one sample), so every block array stays near 64 KiB whatever the team size
+BLOCK_COORDINATES = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +139,9 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
     mode "closed-loop" integrates the PD law from the material configuration
     (or `initial_positions`); "open-loop" copies the commanded positions. The
     run aborts once any agent strays DIVERGENCE_FACTOR * delta from command.
+    The closed loop steps in blocks of BLOCK_COORDINATES: one commanded
+    velocity pass, `pd_step` once per step, then one tracking and guard pass
+    that reports the block's first step over the limit.
     """
     if mode not in SIM_MODES:
         raise ScenarioError(f"unknown simulation mode {mode!r}")
@@ -161,15 +167,35 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
         v = np.zeros_like(r)
         actual[0] = r
         tracking[0] = np.linalg.norm(r - desired[0], axis=1).max()
-        for i in range(1, n_steps + 1):
-            v_des = (desired[i] - desired[i - 1]) / dt  # per step: no (n, N, 3) copy
-            r, v = pd_step(r, v, desired[i], v_des, gains, dt)
-            actual[i] = r
-            err = tracking[i] = np.linalg.norm(r - desired[i], axis=1).max()
-            if not np.isfinite(err) or err > limit:
+        block = max(1, BLOCK_COORDINATES // r.size)
+        # numpy scalars: the same doubles, but a Python float costs each ufunc
+        # call about as much again on arrays this small
+        step_gains = ControllerGains(np.float64(gains.kp), np.float64(gains.kd))
+        step_dt = np.float64(dt)
+        for a in range(1, n_steps + 1, block):
+            b = min(a + block, n_steps + 1)
+            start = r, v
+            # warnings off: steps after a diverged one may overflow, and are discarded
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_des = (desired[a:b] - desired[a - 1:b - 1]) / dt
+                for i in range(a, b):
+                    r, v = pd_step(r, v, desired[i], v_des[i - a], step_gains, step_dt)
+                    actual[i] = r
+                err = tracking[a:b] = np.linalg.norm(actual[a:b] - desired[a:b],
+                                                     axis=2).max(axis=1)
+            over = np.flatnonzero(~np.isfinite(err) | (err > limit))
+            if over.size:
+                i = a + int(over[0])
+                # replay up to the first step over the limit with warnings on,
+                # so a run warns exactly where a per-step loop would
+                r, v = start
+                for k in range(a, i + 1):
+                    r, v = pd_step(r, v, desired[k], (desired[k] - desired[k - 1]) / dt,
+                                   step_gains, step_dt)
+                np.linalg.norm(r - desired[i], axis=1).max()
                 raise NumericalError(
                     f"simulation diverged at t={t_grid[i]:.3f}: "
-                    f"tracking error {err:.3f} exceeds {limit:.3f}")
+                    f"tracking error {err[i - a]:.3f} exceeds {limit:.3f}")
 
     min_des = closest_pairs(desired)[0]
     min_act = closest_pairs(actual)[0]

@@ -140,7 +140,9 @@ def test_writers_format_ids_from_the_integers(square_run, tmp_path):
 
 
 @pytest.mark.parametrize("text", ["1.25", "9007199254740992", "-9007199254740993", "inf",
-                                  "nan"])
+                                  "nan", "2.0", "1e3", "-9223372036854775808",
+                                  # doubles that round to an integer id
+                                  "4503599627370496.5", "2.0000000000000001"])
 @pytest.mark.parametrize("fmt", ["csv", "text"])
 def test_readers_reject_ids_that_are_not_exact_integers(square_run, tmp_path, text, fmt):
     # agent 2 reads `text` in every block, so the blocks still agree

@@ -21,10 +21,12 @@ from scipy.spatial.distance import pdist
 
 import swarmdeform as sd
 from conftest import first_argmin_oracle, sparse_lattice
+from swarmdeform import sim
 from swarmdeform.hierarchy import ROW_SUM_TOL
 from swarmdeform.qp import _box_active_set
 from swarmdeform.safety import KDTREE_MIN_AGENTS, closest_pairs
 from swarmdeform.scenario import planning_bounds
+from swarmdeform.sim import pd_step
 from swarmdeform.team import (CONTAINMENT_TOL, cell_coordinates, enclosing_cells,
                               projected_weights)
 
@@ -148,8 +150,33 @@ def box_qps(draw):
     return q, c, lo, hi
 
 
+# unconstrained optimum (0.5, 0.75): the first coordinate sits exactly on the lower edge
+_ON_EDGE = (np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[-1.375, -1.0]]), 0.5, 1.0)
+# after clipping, two bounds tie for the most negative multiplier (-0.593 on two
+# lower bounds; -0.248 on a lower and an upper one): the first index is released,
+# lower bounds before upper ones
+_TIED_LOWER = (np.array([[1.0, 0.11, -0.38], [0.11, 1.0, -0.38], [-0.38, -0.38, 1.0]]),
+               np.array([[-0.52, -0.52, 1.91]]), -0.1, 1.8)
+_TIED_LOWER_UPPER = (np.array([[1.0, 0.23, 0.35], [0.23, 1.0, -0.35], [0.35, -0.35, 1.0]]),
+                     np.array([[0.13, -0.13, -1.15]]), -0.9, 0.9)
+# m = 6 stack whose rows converge after 1, 2, 2, 3 and 1 iterations
+_A6 = np.array([[0.9, 0.7, 0.7, -0.2, 0.6, -0.2], [-0.1, -0.8, -0.9, 0.3, -0.6, 0.9],
+                [0.1, 0.2, 0.8, -0.4, -1.0, -0.6], [-0.1, -0.7, -0.4, 0.5, -0.2, -0.3],
+                [-0.5, 0.1, 1.0, -0.7, 0.7, 0.5], [0.2, 0.1, 0.0, -0.8, 0.1, 1.0]])
+_Q6 = _A6 @ _A6.T + 0.5 * np.eye(6)
+_MIXED_STACK = (_Q6, np.vstack([-(_Q6 @ np.full(6, 0.5)),
+                                [[2.3, -0.3, -0.6, 3.7, -4.9, -3.0],
+                                 [4.6, 1.5, 3.3, 0.3, -4.6, 0.4],
+                                 [1.3, -4.1, -0.2, 4.4, -4.4, -4.5],
+                                 [-4.0, 1.8, 3.9, -3.4, 3.4, -2.8]]]), 0.0, 1.0)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(box_qps())
+@example(_ON_EDGE)
+@example(_TIED_LOWER)
+@example(_TIED_LOWER_UPPER)
+@example(_MIXED_STACK)
 def test_stacked_box_solve_matches_rows_and_bvls(case):
     q, c, lo, hi = case
     y, iterations = _box_active_set(q, c, lo, hi)
@@ -409,3 +436,59 @@ def test_certificate_matches_svd_pdist_and_window_oracle(mission):
              bool(np.all((schedule.alpha[:, :-1] > 0) & (schedule.alpha[:, :-1] <= ceiling))))
     assert (report.margins_ok, report.distance_ok, report.window_ok) == gates
     assert report.verdict == all(gates)
+
+
+def per_step_loop(desired, r, gains, dt, limit, t_grid):
+    """The closed loop one step at a time with the guard after every step:
+    the reference the blocked loop must equal bit for bit."""
+    actual = np.empty_like(desired)
+    tracking = np.zeros(desired.shape[0])
+    v = np.zeros_like(r)
+    actual[0] = r
+    tracking[0] = np.linalg.norm(r - desired[0], axis=1).max()
+    for i in range(1, desired.shape[0]):
+        v_des = (desired[i] - desired[i - 1]) / dt
+        r, v = pd_step(r, v, desired[i], v_des, gains, dt)
+        actual[i] = r
+        err = tracking[i] = np.linalg.norm(r - desired[i], axis=1).max()
+        if not np.isfinite(err) or err > limit:
+            raise sd.NumericalError(
+                f"simulation diverged at t={t_grid[i]:.3f}: "
+                f"tracking error {err:.3f} exceeds {limit:.3f}")
+    return actual, tracking
+
+
+# square13 steps in blocks of 2**13 // 39 = 210 samples; from the first command
+# at dt 0.1 with kd = 0, kp just above the stability edge 400 diverges late
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kp=st.floats(0.0, 450.0), kd=st.floats(0.0, 30.0),
+       dt=st.sampled_from([0.05, 0.1, 0.25]), steps=st.integers(1, 450),
+       start=st.sampled_from(["material", "command"]))
+@example(kp=400.01, kd=0.0, dt=0.1, steps=450, start="command")    # step 294, mid-block
+@example(kp=400.0266, kd=0.0, dt=0.1, steps=450, start="command")  # step 210, a block's last
+@example(kp=1e6, kd=1e6, dt=0.1, steps=450, start="material")      # step 1, then inf in-block
+def test_blocked_closed_loop_equals_per_step_loop(square_scenario, square_weights, kp, kd,
+                                                  dt, steps, start):
+    sc = square_scenario
+    duration, bounds, gains = steps * dt, planning_bounds(sc), sd.ControllerGains(kp, kd)
+    t_grid = sd.time_grid(duration, dt)
+    schedule = sd.alpha_schedule(sc.team, square_weights, sc.trajectory, t_grid, bounds,
+                                 sc.qp.zeta)
+    desired = sd.trajectory_positions(sc.team, square_weights, schedule.alpha, schedule.shift)
+    initial = sc.team.positions if start == "material" else desired[0]
+
+    def blocked():
+        return sd.run_simulation(sc.team, square_weights, sc.trajectory, duration, dt,
+                                 bounds, sc.qp.zeta, gains=gains, initial_positions=initial)
+
+    try:
+        actual, tracking = per_step_loop(desired, initial.copy(), gains, dt,
+                                         sim.DIVERGENCE_FACTOR * sc.team.safety.delta, t_grid)
+    except sd.NumericalError as exc:
+        with pytest.raises(sd.NumericalError) as info:
+            blocked()
+        assert str(info.value) == str(exc)
+        return
+    log = blocked()
+    assert log.actual.tobytes() == actual.tobytes()
+    assert log.tracking.tobytes() == tracking.tobytes()

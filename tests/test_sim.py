@@ -154,6 +154,34 @@ def test_divergence_guard(square_team, square_weights, square_scenario):
                           gains=sd.ControllerGains(kp=500.0, kd=0.0))
 
 
+def test_closed_loop_calls_pd_step_once_per_step(square_team, square_weights,
+                                                 square_scenario, monkeypatch):
+    # 300 steps of 13 agents are two blocks; the step law runs once per step
+    calls = []
+
+    def counting_pd_step(*args):
+        calls.append(1)
+        return pd_step(*args)
+
+    monkeypatch.setattr(sd.sim, "pd_step", counting_pd_step)
+    log = sd.run_simulation(square_team, square_weights, square_scenario.trajectory,
+                            duration=30.0, dt=0.1, bounds=(0.5, 1.1))
+    assert sd.sim.BLOCK_COORDINATES // log.actual[0].size < 300
+    assert len(calls) == 300
+
+
+def test_overflow_on_the_diverging_step_warns_as_each_step_did(square_team, square_weights,
+                                                               square_scenario):
+    # a block runs with overflow warnings off; the steps up to the first one
+    # over the limit are replayed with them on, so an overflow there still warns
+    with (pytest.warns(RuntimeWarning, match="overflow"),
+          pytest.raises(sd.NumericalError, match="diverged at t=0.100: tracking error inf")):
+        sd.run_simulation(square_team, square_weights, square_scenario.trajectory,
+                          duration=30.0, dt=0.1, bounds=(0.5, 1.1),
+                          gains=sd.ControllerGains(kp=1e300, kd=1e300),
+                          initial_positions=square_team.positions * 1e10)
+
+
 def test_unknown_mode_rejected(square_team, square_weights, square_scenario):
     with pytest.raises(sd.ScenarioError, match="unknown simulation mode"):
         sd.run_simulation(square_team, square_weights, square_scenario.trajectory,
