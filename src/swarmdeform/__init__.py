@@ -14,7 +14,6 @@ from .hierarchy import (
     build_layer_weights,
     compose_delta_rows,
     forward_pass,
-    nominal_position,
     trajectory_positions,
 )
 from .io import (
@@ -42,7 +41,6 @@ from .safety import (
     min_pairwise_distance,
     pure_deformation_spectrum,
     safety_window,
-    triangle_jacobian,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, planning_bounds
 from .sim import (
@@ -53,7 +51,6 @@ from .sim import (
     make_trajectory,
     run_simulation,
     time_grid,
-    tracking_error,
     waypoint_reference,
 )
 from .team import (
@@ -101,7 +98,6 @@ __all__ = [
     "load_scenario",
     "make_trajectory",
     "min_pairwise_distance",
-    "nominal_position",
     "parse_scenario",
     "planning_bounds",
     "pure_deformation_spectrum",
@@ -112,9 +108,7 @@ __all__ = [
     "safety_window",
     "solve_box_eq_qp",
     "time_grid",
-    "tracking_error",
     "trajectory_positions",
-    "triangle_jacobian",
     "validate_team",
     "waypoint_reference",
     "write_certification",

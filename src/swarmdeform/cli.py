@@ -21,6 +21,11 @@ from .scenario import load_scenario, planning_bounds
 from .sim import ControllerGains, run_simulation, time_grid
 
 
+# planner overrides: argparse dest -> flag
+PLANNER_FLAGS = {"dt": "--dt", "duration": "--T", "mode": "--mode",
+                 "alpha_min": "--alpha-min", "alpha_max": "--alpha-max"}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario YAML file")
     sub.add_argument("--out", help="write the result trace to this path")
@@ -51,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     certify = subs.add_parser("certify", help="check deformation and spacing limits")
     _add_common(certify)
-    certify.add_argument("--schedule", help="reuse a planner trace instead of re-planning")
+    certify.add_argument("--schedule",
+                         help="reuse a planner trace instead of re-planning; "
+                              "takes no planner overrides")
     return parser
 
 
@@ -130,6 +137,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    overrides = [flag for dest, flag in PLANNER_FLAGS.items()
+                 if getattr(args, dest) is not None]
+    if args.schedule and overrides:
+        raise ScenarioError("--schedule takes the time grid, mode and scale box "
+                            f"from the planner trace; drop {', '.join(overrides)}")
     scenario, weights = _load(args)
     team = scenario.team
     if args.schedule:

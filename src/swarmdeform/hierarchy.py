@@ -36,12 +36,7 @@ def _clip_rows(weights: np.ndarray) -> np.ndarray:
 class LayerWeights:
     """Composite map C: each agent's desired position as a convex combination of W_1's."""
 
-    composite: np.ndarray                   # (N, n_pl), row i-1 holds agent i; read-only
-    layer_ids: tuple[tuple[int, ...], ...]  # nested sorted ids of W_1 .. W_p
-
-    @property
-    def depth(self) -> int:
-        return len(self.layer_ids)
+    composite: np.ndarray   # (N, n_pl), row i-1 holds agent i; read-only
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -119,17 +114,16 @@ def build_layer_weights(team: TeamConfiguration, settings=None) -> LayerWeights:
         _validate_rows(weights, new, layer_ids[k - 1], k)
         composite[new - 1] = (weights[:, :, None] * composite[support - 1]).sum(axis=1)
     composite.setflags(write=False)
-    return LayerWeights(composite, layer_ids)
+    return LayerWeights(composite)
 
 
-def averaging_ids(team: TeamConfiguration, weights: LayerWeights,
-                  average: str = "all") -> tuple[int, ...]:
+def averaging_ids(team: TeamConfiguration, average: str = "all") -> tuple[int, ...]:
     """Agent ids averaged into the nominal position (all of W_p, or the new set)."""
     if average not in AVERAGING_MODES:
         raise ScenarioError(f"averaging mode must be all or new, got {average!r}")
     if average == "new":
         return tuple(sorted(team.partition.new_sets[-1]))
-    return weights.layer_ids[-1]
+    return team.partition.all_ids()
 
 
 def trajectory_positions(team: TeamConfiguration, weights: LayerWeights,
@@ -157,14 +151,7 @@ def compose_delta_rows(team: TeamConfiguration, weights: LayerWeights,
     delta is the averaged rows of C times the leaders' material positions, so
     R @ X is the nominal position for X = [alpha_1 .. alpha_{n_pl}, s_x, s_y, s_z].
     """
-    rows = weights.composite[np.array(averaging_ids(team, weights, average)) - 1]
+    rows = weights.composite[np.array(averaging_ids(team, average)) - 1]
     delta = (rows.sum(axis=0)[None, :] * team.leader_positions.T) / rows.shape[0]
     return np.hstack([delta, np.eye(3)])
 
-
-def nominal_position(team: TeamConfiguration, weights: LayerWeights,
-                     alpha: np.ndarray, shift: np.ndarray,
-                     average: str = "all") -> np.ndarray:
-    """Average desired position of the output layer (forward-pass route)."""
-    idx = np.array(averaging_ids(team, weights, average)) - 1
-    return forward_pass(team, weights, alpha, shift)[idx].mean(axis=0)

@@ -296,9 +296,6 @@ class Schedule:
     def n_samples(self) -> int:
         return self.t.size
 
-    def decision_vector(self, i: int) -> np.ndarray:
-        return np.concatenate([self.alpha[i], self.shift[i]])
-
 
 def alpha_schedule(team: TeamConfiguration, weights: LayerWeights, trajectory,
                    t_grid: np.ndarray, bounds: tuple[float, float],

@@ -32,9 +32,6 @@ class SafetyBounds:
     alpha_min: float
     alpha_max: float
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.alpha_min, self.alpha_max)
-
 
 def safety_window(separations: Iterable[float], safety: SafetyParameters) -> SafetyBounds:
     """Scale window from per-cell minimum separations and clearance margins.
@@ -102,15 +99,6 @@ def cell_basis(team: TeamConfiguration, cell: TriangleCell) -> CellBasis:
     return CellBasis(k1, k2, k3, (ia, ib), b1, b2)
 
 
-def triangle_jacobian(team: TeamConfiguration, cell: TriangleCell,
-                      alpha: np.ndarray) -> np.ndarray:
-    """Deformation Jacobian Q (3, 3) of one cell for a full alpha vector."""
-    alpha = np.asarray(alpha, dtype=float)
-    basis = cell_basis(team, cell)
-    ia, ib = basis.alpha_index
-    return alpha[ia] * basis.k1 + alpha[ib] * basis.k2 + basis.k3
-
-
 def pure_deformation_spectrum(q: np.ndarray) -> np.ndarray:
     """Singular values of Jacobian(s), descending; accepts (3,3) or (..,3,3)."""
     q = np.asarray(q, dtype=float)
@@ -159,16 +147,18 @@ def _cell_spectra(bases: list[CellBasis], alpha: np.ndarray) -> np.ndarray:
                      np.minimum(small, 1.0)], axis=-1)
 
 
-# Distance sweep. `closest_pairs` takes each sample's closest pair from one of
-# three paths, and every path gives what pdist and a first argmin give, bit
-# for bit: candidate distances are recomputed with pdist's arithmetic
+# Distance sweep. `closest_pairs` takes each finite sample's closest pair from
+# one of three paths, and every path gives what pdist and a first argmin give,
+# bit for bit: candidate distances are recomputed with pdist's arithmetic
 # (`_pair_distances`) and taken in pdist's condensed order, and a pair is left
 # out only when its computed distance provably exceeds a candidate's, so every
-# pair that reaches the minimum is a candidate.
+# pair that reaches the minimum is a candidate. A sample with a non-finite
+# coordinate takes no path: with its non-finite coordinates read as nan,
+# pdist's first nan is the pair (0, b) of the first such agent b, or (0, 1)
+# when b is 0, and that is written directly.
 #
-# 1. Per-sample pdist: samples that are not finite (their distances read
-#    nan), samples with a coordinate above _MAX_COORD, teams of fewer than
-#    _SHARE pairs, and the backoff runs of path 2.
+# 1. Per-sample pdist: samples with a coordinate above _MAX_COORD, teams of
+#    fewer than _SHARE pairs, and the backoff runs of path 2.
 # 2. Anchored sweep, teams below KDTREE_MIN_AGENTS. An anchor sample a gets a
 #    full pdist. A finite sample s after it checks only the pairs whose anchor
 #    distance D0 is at most U + 2R + slack. U is the distance at s of the
@@ -244,7 +234,7 @@ def _reach(w: np.ndarray) -> np.ndarray:
 
 
 def _follow(stack: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int, i: np.ndarray,
-            j: np.ndarray, limit: int, dist: np.ndarray, condensed: np.ndarray) -> int:
+            j: np.ndarray, limit: int, dist: np.ndarray, pairs: np.ndarray) -> int:
     """Sweep the finite samples after anchor a, up to `end`, on the pairs its bound admits.
 
     `d0` is the anchor's pdist and `k0` its first argmin. Stops before the
@@ -279,7 +269,8 @@ def _follow(stack: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int, i: np.
             d = _pair_distances(block[:q], i[pick], j[pick])
             first = d.argmin(axis=1)
             dist[s:s + q] = d[np.arange(q), first]
-            condensed[s:s + q] = pick[first]
+            k = pick[first]
+            pairs[s:s + q] = np.stack([i[k], j[k]], axis=1)
             s += q
         if q < block.shape[0]:
             break
@@ -288,35 +279,33 @@ def _follow(stack: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int, i: np.
 
 
 def _anchored_closest(stack: np.ndarray, finite: np.ndarray, dist: np.ndarray,
-                      condensed: np.ndarray) -> None:
-    """Fill the closest distance and its pdist index of every sample: paths 1 and 2."""
+                      pairs: np.ndarray) -> None:
+    """Fill the closest distance and pair of every finite sample: paths 1 and 2."""
     n, m = stack.shape[:2]
     i, j = np.triu_indices(m, 1)
     limit = i.size // _SHARE
-    stops = np.append(np.flatnonzero(~finite), n)   # samples that end a finite run
-    s = wait = 0
+    # the samples that end a finite run
+    ends = iter(np.append(np.flatnonzero(~finite), n).tolist())
+    end = next(ends)
+    s = wait = retry = 0   # samples before `retry` are a backoff run's
     while s < n:
-        end = stops[np.searchsorted(stops, s)]
-        p = stack[s]
-        if end == s:
-            p = np.where(np.isfinite(p), p, np.nan)   # a lone inf would leave the min finite
-        d = pdist(p)
+        if s == end:   # not finite: the caller fills it
+            s, wait, end = s + 1, 0, next(ends)
+            continue
+        d = pdist(stack[s])
         k = d.argmin()
-        dist[s] = d[k]
-        condensed[s] = k
-        swept = _follow(stack, s, end, d, k, i, j, limit, dist,
-                        condensed) if limit and end > s + 1 else 0
-        s += 1 + swept
+        dist[s], pairs[s, 0], pairs[s, 1] = d[k], i[k], j[k]
+        a, s = s, s + 1
+        if a < retry:
+            continue
+        swept = _follow(stack, a, end, d, k, i, j, limit, dist,
+                        pairs) if limit and end > s else 0
+        s += swept
         if swept or end <= s:
             wait = 0
-            continue
-        wait = min(2 * wait, _BACKOFF_MAX) or 1
-        for s in range(s, min(s + wait, end)):
-            d = pdist(stack[s])
-            k = d.argmin()
-            dist[s] = d[k]
-            condensed[s] = k
-        s += 1
+        else:
+            wait = min(2 * wait, _BACKOFF_MAX) or 1
+            retry = min(s + wait, end)
 
 
 def _tree_closest(p: np.ndarray, radius: float | None) -> tuple[float, np.ndarray]:
@@ -343,8 +332,9 @@ def closest_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     `stack` is (n, N, 3). Returns the distances (n,) and 0-based pairs (n, 2),
     i < j and lexicographically first on ties: bit for bit what pdist and a
-    first argmin give. A sample with a non-finite coordinate reads nan, with
-    the first pair that touches such an agent, so it fails any threshold.
+    first argmin give. A sample with a non-finite coordinate reads nan, so it
+    fails any threshold, with the pair (0, b) of the first agent b that has
+    one, or (0, 1) when b is 0: pdist's first nan.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[2] != 3 or stack.shape[1] < 2:
@@ -352,34 +342,23 @@ def closest_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                          f"stack, got shape {stack.shape}")
     n, m = stack.shape[:2]
     finite = np.isfinite(stack).all(axis=(1, 2))
-    dist = np.empty(n)
-    pairs = np.empty((n, 2), dtype=np.intp)
-    condensed = np.full(n, -1)   # pdist index of the closest pair, pdist samples
+    dist = np.full(n, np.nan)
+    pairs = np.zeros((n, 2), dtype=np.intp)
+    bad = np.flatnonzero(~finite)
+    pairs[bad, 1] = np.maximum(np.isfinite(stack[bad]).all(axis=2).argmin(axis=1), 1)
     if m < KDTREE_MIN_AGENTS:
-        _anchored_closest(stack, finite, dist, condensed)
-    else:
-        pair = None   # the previous sample's closest pair
-        for s, p in enumerate(stack):
-            if not finite[s]:
-                _anchored_closest(stack[s:s + 1], finite[s:s + 1], dist[s:s + 1],
-                                  condensed[s:s + 1])
-                pair = None
-                continue
-            radius = None
-            if pair is not None:
-                warm = _pair_distances(p, pair[:1], pair[1:])[0]
-                with np.errstate(over="ignore", invalid="ignore"):   # nan: no warm radius
-                    lower = dist[s - 1] - 2.0 * _reach(p - stack[s - 1])
-                if warm <= _WARM_RATIO * lower:
-                    radius = warm
-            dist[s], pair = _tree_closest(p, radius)
-            pairs[s] = pair
-    rows = np.arange(m - 1)
-    starts = rows * (2 * m - rows - 1) // 2   # condensed index of pair (i, i + 1)
-    by_pdist = condensed >= 0
-    k = condensed[by_pdist]
-    i = np.searchsorted(starts, k, side="right") - 1
-    pairs[by_pdist] = np.stack([i, k - starts[i] + i + 1], axis=1)
+        _anchored_closest(stack, finite, dist, pairs)
+        return dist, pairs
+    for s in np.flatnonzero(finite):
+        p = stack[s]
+        radius = None
+        if s:   # a non-finite previous sample reads nan: no warm radius
+            warm = _pair_distances(p, pairs[s - 1, :1], pairs[s - 1, 1:])[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                lower = dist[s - 1] - 2.0 * _reach(p - stack[s - 1])
+            if warm <= _WARM_RATIO * lower:
+                radius = warm
+        dist[s], pairs[s] = _tree_closest(p, radius)
     return dist, pairs
 
 

@@ -64,31 +64,37 @@ class Scenario:
     validation: ValidationReport = field(default_factory=lambda: ValidationReport([], []))
 
 
-def _parse_ids(value) -> list[int]:
-    """Accept 7, "7", "8..13", "1,3,5..9", or lists of those."""
-    if isinstance(value, int):
-        return [value]
-    if isinstance(value, (list, tuple)):
-        out: list[int] = []
-        for item in value:
-            out.extend(_parse_ids(item))
-        return out
+def _integer(value, what: str) -> int:
+    """An int (not a bool) or an integer numeral string, as an int.
+
+    `int` would truncate a fraction and read a bool as 0 or 1.
+    """
     if isinstance(value, str):
-        out = []
-        for chunk in value.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if ".." in chunk:
-                lo_s, hi_s = chunk.split("..")
-                lo, hi = int(lo_s), int(hi_s)
-                if hi < lo:
-                    raise ScenarioError(f"empty id range '{chunk}'")
-                out.extend(range(lo, hi + 1))
-            else:
-                out.append(int(chunk))
-        return out
-    raise ScenarioError(f"cannot parse agent ids from {value!r}")
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_ids(value, what: str = "agent id") -> list[int]:
+    """Accept 7, "7", "8..13", "1,3,5..9", or lists of those."""
+    if isinstance(value, (list, tuple)):
+        return [agent for item in value for agent in _parse_ids(item, what)]
+    if not isinstance(value, str):
+        return [_integer(value, what)]
+    out = []
+    for chunk in value.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if ".." in chunk:
+            lo, hi = (_integer(end, what) for end in chunk.split(".."))
+            if hi < lo:
+                raise ScenarioError(f"empty id range '{chunk}'")
+            out.extend(range(lo, hi + 1))
+        else:
+            out.append(_integer(chunk, what))
+    return out
 
 
 def _choice(section: Mapping, key: str, where: str, default: str, allowed) -> str:
@@ -119,11 +125,11 @@ def _section(mapping: Mapping, key: str, where: str, required: bool = False) -> 
 def _parse_team(doc: Mapping) -> TeamConfiguration:
     tsec = _section(doc, "team", "", required=True)
     ssec = _section(doc, "safety", "", required=True)
-    n = int(_require(tsec, "n_agents", "team"))
+    n = _integer(_require(tsec, "n_agents", "team"), "team.n_agents")
     layer_specs = _require(tsec, "layers", "team")
     new_sets = []
     for spec in layer_specs:
-        ids = _parse_ids(spec)
+        ids = _parse_ids(spec, "team.layers id")
         if len(ids) != len(set(ids)):
             raise ScenarioError(f"duplicate agent ids in layer spec {spec!r}")
         new_sets.append(tuple(sorted(ids)))
@@ -132,7 +138,7 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
     pos_map = _section(tsec, "positions", "team", required=True)
     positions = np.full((n, 3), np.nan)
     for key, triple in pos_map.items():
-        agent = int(key)
+        agent = _integer(key, "team.positions key")
         if not 1 <= agent <= n:
             raise ScenarioError(f"position given for unknown agent {agent}")
         arr = np.asarray(triple, dtype=float)
@@ -151,7 +157,8 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
 
     explicit_members = None
     if tsec.get("cell_members") is not None:
-        explicit_members = {int(cid): _parse_ids(ids)
+        explicit_members = {_integer(cid, "team.cell_members key"):
+                            _parse_ids(ids, "team.cell_members id")
                             for cid, ids in _section(tsec, "cell_members", "team").items()}
     cells = build_cells(partition, positions, explicit_members)
     return TeamConfiguration(partition, positions, cells, safety)
@@ -164,11 +171,13 @@ def _parse_weights(doc: Mapping) -> WeightsSettings:
     matrices: list = []
     if mode == "explicit":
         for entry in _require(wsec, "matrices", "weights"):
-            layer = int(_require(entry, "layer", "weights.matrices"))
+            layer = _integer(_require(entry, "layer", "weights.matrices"),
+                             "weights.matrices.layer")
             rows = _section(entry, "rows", "weights.matrices", required=True)
             matrices.append((layer, {
-                int(a): {int(l): float(w) for l, w in
-                         _section(rows, a, "weights.matrices.rows", required=True).items()}
+                _integer(a, "weights.matrices.rows agent id"): {
+                    _integer(l, "weights.matrices.rows leader id"): float(w) for l, w in
+                    _section(rows, a, "weights.matrices.rows", required=True).items()}
                 for a in rows}))
     return WeightsSettings(mode, average, tuple(matrices))
 

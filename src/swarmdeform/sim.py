@@ -201,11 +201,3 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
     min_act = closest_pairs(actual)[0]
     return SimLog(t_grid, desired, actual, tracking, min_des, min_act,
                   schedule, gains, mode)
-
-
-def tracking_error(log: SimLog, after: float = 0.0) -> float:
-    """Largest per-agent tracking error over samples with t >= after."""
-    mask = log.t >= after
-    if not mask.any():
-        raise ValueError("no samples at or after the requested time")
-    return float(log.tracking[mask].max())

@@ -99,11 +99,6 @@ class TeamConfiguration:
         """Material positions of W_1 (boundary leaders then core), shape (n_pl, 3)."""
         return self.positions[: self.n_pl]
 
-    def position(self, agent_id: int) -> np.ndarray:
-        if not 1 <= agent_id <= self.n_agents:
-            raise ScenarioError(f"unknown agent id {agent_id}")
-        return self.positions[agent_id - 1]
-
     @property
     def cell_vertices(self) -> np.ndarray:
         """Positions of every cell's (core, a, b) vertices, shape (n_cells, 3, 3)."""

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 import swarmdeform as sd
+from swarmdeform.safety import cell_basis
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -107,6 +108,13 @@ def random_planner_instance(rng):
     return rows, s_desired, (center - half, center + half)
 
 
+def cell_jacobian(team, cell, alpha):
+    """Deformation Jacobian Q (3, 3) of one cell for a full alpha vector."""
+    basis = cell_basis(team, cell)
+    ia, ib = basis.alpha_index
+    return alpha[ia] * basis.k1 + alpha[ib] * basis.k2 + basis.k3
+
+
 def first_argmin_oracle(stack):
     """pdist and a first argmin per sample; non-finite coordinates read as nan."""
     i, j = np.triu_indices(stack.shape[1], 1)
@@ -117,6 +125,17 @@ def first_argmin_oracle(stack):
         dist.append(d[k])
         pairs.append((i[k], j[k]))
     return np.array(dist), np.array(pairs)
+
+
+def drifting_lattice(m, n):
+    """n samples of m agents on distinct sites of a unit lattice, jittered by
+    up to 0.3 and drifting about 0.01 a sample: the k-d tree's warm radius
+    holds from each sample to the next."""
+    rng = np.random.default_rng(5)
+    side = int(np.ceil(m ** (1.0 / 3.0))) + 1
+    sites = np.stack(np.unravel_index(rng.permutation(side ** 3)[:m], (side,) * 3), axis=1)
+    start = sites + 0.3 * rng.uniform(-1.0, 1.0, (m, 3))
+    return start + np.cumsum(0.01 * rng.normal(size=(n, m, 3)), axis=0)
 
 
 def sparse_lattice():

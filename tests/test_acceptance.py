@@ -50,7 +50,8 @@ def clamped_certification(helix_scenario, helix_weights):
     window = sd.alpha_bounds(team)
     t_grid = sd.time_grid(helix_scenario.sim.duration, helix_scenario.sim.dt)
     schedule = sd.alpha_schedule(team, helix_weights, helix_scenario.trajectory,
-                                 t_grid, window.as_tuple(), helix_scenario.qp.zeta,
+                                 t_grid, (window.alpha_min, window.alpha_max),
+                                 helix_scenario.qp.zeta,
                                  helix_scenario.qp.scaling)
     desired = sd.trajectory_positions(team, helix_weights,
                                       schedule.alpha, schedule.shift)
@@ -103,7 +104,7 @@ def test_nominal_position_tracks_composite_rows(helix_scenario, helix_weights,
         alpha = rng.uniform(0.6, 5.0, size=7)
         shift = 2.0 * rng.normal(size=3)
         x = np.concatenate([alpha, shift])
-        nominal = sd.nominal_position(team, helix_weights, alpha, shift)
+        nominal = sd.forward_pass(team, helix_weights, alpha, shift).mean(axis=0)
         worst = max(worst, float(np.max(np.abs(r @ x - nominal))))
 
     ident = 0.0
@@ -196,7 +197,7 @@ def test_window_clamped_mission_is_certified(clamped_certification, helix_team):
 def test_tracking_stays_within_guarantee(mission, helix_team):
     log, _ = mission
     delta = helix_team.safety.delta
-    settled = sd.tracking_error(log, after=10.0)
+    settled = log.tracking[log.t >= 10.0].max()
     ok = settled <= delta
     _report("tracking", ok,
             f"max tracking error {settled:.2e} after 10 s transient "

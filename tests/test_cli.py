@@ -79,6 +79,23 @@ def test_certify_reuses_planner_trace(capsys, tmp_path):
     assert captured.out.startswith("SAFE:")
 
 
+def test_certify_schedule_refuses_planner_overrides(capsys, tmp_path):
+    # the trace fixes the grid and the scales, so these flags would be dropped
+    plan_out = tmp_path / "plan.csv"
+    assert main(["plan", "--config", SQUARE, "--out", str(plan_out)]) == 0
+    capsys.readouterr()
+    code = main(["certify", "--config", SQUARE, "--schedule", str(plan_out), "--dt", "7",
+                 "--mode", "paper-exact", "--alpha-min", "99", "--T", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "drop --dt, --T, --mode, --alpha-min" in captured.err
+    assert captured.out == ""
+    code = main(["certify", "--config", SQUARE, "--schedule", str(plan_out),
+                 "--alpha-max", "1.1"])
+    assert code == 2
+    assert "drop --alpha-max" in capsys.readouterr().err
+
+
 def test_certify_rejects_mismatched_trace(capsys, tmp_path):
     trace = tmp_path / "plan.csv"
     trace.write_text("t,alpha_1,alpha_2,s_x,s_y,s_z,objective,kkt\n"
@@ -307,6 +324,35 @@ def test_malformed_scenario_value_exit_code(capsys, tmp_path, path, value):
     captured = capsys.readouterr()
     assert code == 2
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("team", "n_agents"), 13.9, "team.n_agents"),
+    (("team", "positions", 13.5), [0.5, 0.25, 0.0], "team.positions key"),
+    (("team", "layers", 0), [True, "2..5"], "team.layers id"),
+    (("team", "cell_members"), {1.5: "1,2,5"}, "team.cell_members key"),
+    (("team", "cell_members"), {1: [True, 2, 5]}, "team.cell_members id"),
+    (("weights",), {"mode": "explicit", "matrices": [{"layer": 2.0, "rows": {}}]},
+     "weights.matrices.layer"),
+    (("weights",), {"mode": "explicit", "matrices": [{"layer": 2, "rows": {6.0: {5: 1.0}}}]},
+     "weights.matrices.rows agent id"),
+    (("weights",), {"mode": "explicit", "matrices": [{"layer": 2, "rows": {6: {True: 1.0}}}]},
+     "weights.matrices.rows leader id"),
+], ids=["n_agents", "position-key", "layer-bool", "cell-key", "cell-member-bool",
+        "weight-layer", "weight-agent", "weight-leader"])
+def test_fractional_or_boolean_id_exit_code(capsys, tmp_path, path, value, field):
+    # int() would truncate the fraction or read the bool as agent 1 and plan on
+    doc = node = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code = main(["plan", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {field} must be an integer, got " in captured.err
     assert captured.out == ""
 
 

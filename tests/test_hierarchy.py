@@ -17,7 +17,7 @@ def assert_stochastic_structure(team, weights):
 
 
 def test_square_weight_structure(square_team, square_weights):
-    assert square_weights.depth == 3
+    assert square_team.partition.depth == 3
     assert_stochastic_structure(square_team, square_weights)
 
 
@@ -70,22 +70,22 @@ def test_nominal_position_matches_composite_rows(helix_team, helix_weights):
         alpha = rng.uniform(0.6, 5.0, size=7)
         shift = rng.normal(size=3)
         x = np.concatenate([alpha, shift])
-        nominal = sd.nominal_position(helix_team, helix_weights, alpha, shift)
+        nominal = sd.forward_pass(helix_team, helix_weights, alpha, shift).mean(axis=0)
         assert np.max(np.abs(r @ x - nominal)) < 1e-12
 
 
 def test_averaging_new_set(square_team, square_weights):
-    assert averaging_ids(square_team, square_weights, "new") == (10, 11, 12, 13)
+    assert averaging_ids(square_team, "new") == (10, 11, 12, 13)
     rng = np.random.default_rng(2)
     alpha = rng.uniform(0.5, 1.1, size=5)
     shift = rng.normal(size=3)
     desired = sd.forward_pass(square_team, square_weights, alpha, shift)
     direct = desired[9:13].mean(axis=0)
-    nominal = sd.nominal_position(square_team, square_weights, alpha, shift,
-                                  average="new")
+    x = np.concatenate([alpha, shift])
+    nominal = sd.compose_delta_rows(square_team, square_weights, average="new") @ x
     assert np.max(np.abs(nominal - direct)) < 1e-15
     with pytest.raises(sd.ScenarioError, match="averaging mode"):
-        averaging_ids(square_team, square_weights, "outer")
+        averaging_ids(square_team, "outer")
 
 
 def test_trajectory_positions_stacks_forward_pass(square_team, square_weights):

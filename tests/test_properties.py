@@ -20,7 +20,7 @@ from scipy.optimize import lsq_linear
 from scipy.spatial.distance import pdist
 
 import swarmdeform as sd
-from conftest import first_argmin_oracle, sparse_lattice
+from conftest import cell_jacobian, drifting_lattice, first_argmin_oracle, sparse_lattice
 from swarmdeform import sim
 from swarmdeform.hierarchy import ROW_SUM_TOL
 from swarmdeform.qp import _box_active_set
@@ -287,6 +287,13 @@ _COINCIDENT = _SHIFTED.copy()
 _COINCIDENT[:, 5] = _COINCIDENT[:, 9]
 _NAN_ANCHOR = _SHIFTED.copy()
 _NAN_ANCHOR[9, 7, 1] = np.nan
+# and, on the k-d tree's side of the crossover, the non-finite closed form:
+# agent 0 nan in sample 0, whose pair is (0, 1), and an inf in a middle sample
+# between samples that keep the warm radius
+_NAN_FIRST = drifting_lattice(KDTREE_MIN_AGENTS + 4, 5)
+_NAN_FIRST[0, 0, 0] = np.nan
+_INF_MIDDLE = drifting_lattice(KDTREE_MIN_AGENTS + 4, 5)
+_INF_MIDDLE[2, 100, 1] = np.inf
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -295,6 +302,8 @@ _NAN_ANCHOR[9, 7, 1] = np.nan
 @example(_pinch(20, 0.2, np.zeros(3)))
 @example(_COINCIDENT)
 @example(_NAN_ANCHOR)
+@example(_NAN_FIRST)
+@example(_INF_MIDDLE)
 def test_closest_pairs_match_first_argmin_oracle(stack):
     dist, pairs = closest_pairs(stack)
     ref_dist, ref_pairs = first_argmin_oracle(stack)
@@ -371,6 +380,33 @@ def test_simulated_distances_are_the_certified_traces(square_scenario, square_we
     assert log.min_dist_actual.tobytes() == actual.distance_trace.tobytes()
 
 
+def centroid_team(fan, radii, share, ceiling):
+    """The ring of a fan team, each leader moved radially to `radii` of its
+    radius, the core, and one agent at each cell's centroid; the clearance is
+    `share` of the tightest cell separation and the window's upper edge `ceiling`."""
+    n_b = fan.n_pl - 1
+    ring = fan.positions[:n_b] * np.reshape(radii, (n_b, 1))
+    centroids = (ring + np.roll(ring, -1, axis=0)) / 3.0
+    positions = np.vstack([ring, np.zeros((1, 3)), centroids])
+    n_pl = n_b + 1
+    partition = sd.LayerPartition((tuple(range(1, n_pl + 1)),
+                                   tuple(range(n_pl + 1, n_pl + n_b + 1))))
+    cells = sd.build_cells(partition, positions)
+    clearance = share * min(cell.p_min for cell in cells)
+    a0 = np.linalg.norm(ring, axis=1).max()
+    safety = sd.SafetyParameters(clearance / 4.0, clearance / 4.0,
+                                 ceiling * a0 + clearance, a0)
+    return sd.TeamConfiguration(partition, positions, cells, safety)
+
+
+def boundary_schedule(boundary, shift):
+    """A schedule of boundary scales (n, n_pl - 1), core column 0, and shifts (n, 3)."""
+    n = boundary.shape[0]
+    alpha = np.column_stack([boundary, np.zeros(n)])
+    return sd.Schedule(np.arange(n, dtype=float), alpha, shift, np.zeros(n), None,
+                       boundary.min(), boundary.max(), 1e-6, "consistent")
+
+
 @st.composite
 def scaled_missions(draw):
     """A fan team with unequal leader radii and a few samples of boundary scales.
@@ -383,23 +419,14 @@ def scaled_missions(draw):
     sides of both edges. Scales are independent, all equal (a double singular
     value in every cell) or equal up to 1e-9 (a nearly double one).
     """
-    team, _ = draw(fan_teams())
-    n_b = team.n_pl - 1
+    fan, _ = draw(fan_teams())
+    n_b = fan.n_pl - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ring = team.positions[:n_b] * rng.uniform(0.3, 1.0, (n_b, 1))
-    centroids = (ring + np.roll(ring, -1, axis=0)) / 3.0
-    positions = np.vstack([ring, np.zeros((1, 3)), centroids])
-    n_pl = n_b + 1
-    partition = sd.LayerPartition((tuple(range(1, n_pl + 1)),
-                                   tuple(range(n_pl + 1, n_pl + n_b + 1))))
-    cells = sd.build_cells(partition, positions)
-    clearance = draw(st.floats(0.1, 1.0)) * min(cell.p_min for cell in cells)
-    a0 = np.linalg.norm(ring, axis=1).max()
+    radii = rng.uniform(0.3, 1.0, n_b)
+    share = draw(st.floats(0.1, 1.0))
     ceiling = draw(st.floats(1.0, 3.0))
+    team = centroid_team(fan, radii, share, ceiling)
     top = draw(st.floats(0.5, 1.5)) * ceiling
-    safety = sd.SafetyParameters(clearance / 4.0, clearance / 4.0,
-                                 ceiling * a0 + clearance, a0)
-    team = sd.TeamConfiguration(partition, positions, cells, safety)
 
     n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["independent", "equal", "nearly-equal"]))
@@ -409,22 +436,38 @@ def scaled_missions(draw):
         boundary = np.repeat(rng.uniform(0.15, top, (n, 1)), n_b, axis=1)
         if kind == "nearly-equal":
             boundary += 1e-9 * rng.uniform(-1.0, 1.0, (n, n_b))
-    alpha = np.column_stack([boundary, np.zeros(n)])
-    shift = rng.uniform(-5.0, 5.0, (n, 3))
-    schedule = sd.Schedule(np.arange(n, dtype=float), alpha, shift, np.zeros(n), None,
-                           0.15, top, 1e-6, "consistent")
-    return team, schedule
+    return team, boundary_schedule(boundary, rng.uniform(-5.0, 5.0, (n, 3)))
+
+
+# hard cases pinned on one skewed six-leader team: all boundary scales equal
+# (a double singular value in every cell), equal up to 1e-9 (a nearly double
+# one), and one scale exactly on the window's upper edge, which passes, or
+# one double above it, which fails the window; 0.5 is the window's lower edge
+_PIN_TEAM = centroid_team(fan_team(6, 3.0, [0.1, -0.2, 0.0, 0.25, -0.1, 0.05], 0.7, 1.3,
+                                   [], 0)[0],
+                          [1.0, 0.6, 0.8, 0.45, 0.9, 0.7], 0.5, 2.0)
+_PIN_SHIFT = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [-3.0, 1.0, 2.0]])
+_PIN_EQUAL = np.repeat([[0.4], [0.5], [1.9]], 6, axis=1)
+_PIN_EDGE = np.full((3, 6), 1.0)
+_PIN_EDGE[1, 3] = sd.alpha_bounds(_PIN_TEAM).alpha_max
+_PIN_ABOVE = _PIN_EDGE.copy()
+_PIN_ABOVE[1, 3] = np.nextafter(_PIN_EDGE[1, 3], np.inf)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(scaled_missions())
+@example((_PIN_TEAM, boundary_schedule(_PIN_EQUAL, _PIN_SHIFT)))
+@example((_PIN_TEAM, boundary_schedule(
+    _PIN_EQUAL + 1e-9 * np.sin(np.arange(18.0)).reshape(3, 6), _PIN_SHIFT)))
+@example((_PIN_TEAM, boundary_schedule(_PIN_EDGE, _PIN_SHIFT)))
+@example((_PIN_TEAM, boundary_schedule(_PIN_ABOVE, _PIN_SHIFT)))
 def test_certificate_matches_svd_pdist_and_window_oracle(mission):
     team, schedule = mission
     weights = sd.build_layer_weights(team)
     desired = sd.trajectory_positions(team, weights, schedule.alpha, schedule.shift)
     report = sd.certify_configuration(team, schedule, desired)
 
-    svd = np.array([[np.linalg.svd(sd.triangle_jacobian(team, cell, row), compute_uv=False)
+    svd = np.array([[np.linalg.svd(cell_jacobian(team, cell, row), compute_uv=False)
                      for cell in team.cells] for row in schedule.alpha])
     assert np.all(np.abs(report.lambdas - svd) <= 1e-12 * np.maximum(1.0, svd[..., :1]))
 

@@ -215,7 +215,8 @@ def test_square_schedule_rows_pass_kkt_residual(square_team, square_weights,
     for i, t in enumerate(schedule.t):
         problem = sd.assemble_problem(rows, square_scenario.trajectory.position(t), bounds,
                                       square_scenario.qp.zeta, "paper-exact")
-        assert max(sd.kkt_residual(problem, schedule.decision_vector(i))) <= 1e-8
+        x = np.concatenate([schedule.alpha[i], schedule.shift[i]])
+        assert max(sd.kkt_residual(problem, x)) <= 1e-8
 
 
 def test_schedule_matches_per_step_solves(square_team, square_weights, square_scenario):
@@ -234,7 +235,7 @@ def test_schedule_matches_per_step_solves(square_team, square_weights, square_sc
         assert np.array_equal(schedule.shift[i], sol.shift)
         assert schedule.objective[i] == sol.objective
         assert np.array_equal(schedule.kkt[i], sol.kkt)
-        assert np.array_equal(schedule.decision_vector(i), sol.x)
+        assert np.array_equal(np.concatenate([schedule.alpha[i], schedule.shift[i]]), sol.x)
     assert np.max(schedule.kkt) <= 1e-8
 
 
@@ -251,7 +252,7 @@ def test_schedule_records_iterations_and_active_bounds(square_team, square_weigh
         sol = sd.solve_box_eq_qp(problem)
         assert schedule.iterations[i] == sol.iterations
         assert schedule.active_bounds[i] == len(sol.active_set)
-        assert np.array_equal(schedule.decision_vector(i), sol.x)
+        assert np.array_equal(np.concatenate([schedule.alpha[i], schedule.shift[i]]), sol.x)
     assert len(set(schedule.iterations.tolist())) > 1
 
 

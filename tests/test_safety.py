@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import swarmdeform as sd
-from conftest import first_argmin_oracle, sparse_lattice
+from conftest import cell_jacobian, drifting_lattice, first_argmin_oracle, sparse_lattice
 from swarmdeform import safety
 from swarmdeform.safety import KDTREE_MIN_AGENTS, cell_basis, closest_pairs, min_pairwise_distance
 from swarmdeform.scenario import planning_bounds
@@ -13,7 +13,7 @@ from swarmdeform.scenario import planning_bounds
 def test_safety_window_frozen_values():
     safety = sd.SafetyParameters(delta=0.1, epsilon=0.4, a_max=101.0, a0=20.0)
     window = sd.safety_window([2.0], safety)
-    assert window.as_tuple() == (0.5, 5.0)
+    assert (window.alpha_min, window.alpha_max) == (0.5, 5.0)
     # tightest cell dominates the lower edge
     window = sd.safety_window([2.0, 4.0, 10.0], safety)
     assert window.alpha_min == 0.5
@@ -76,7 +76,7 @@ def test_cell_basis_partitions_identity(square_team):
         total = basis.k1 + basis.k2 + basis.k3
         assert np.max(np.abs(total - np.eye(3))) < 1e-14
         assert np.max(np.abs(basis.b1 + basis.b2 - np.eye(2))) < 1e-14
-        q = sd.triangle_jacobian(square_team, cell, np.ones(square_team.n_pl))
+        q = cell_jacobian(square_team, cell, np.ones(square_team.n_pl))
         assert np.max(np.abs(q - np.eye(3))) < 1e-14
 
 
@@ -95,7 +95,7 @@ def test_uniform_scale_spectrum(square_team):
     alpha = np.full(5, 0.6)
     alpha[-1] = 0.0
     for cell in square_team.cells:
-        q = sd.triangle_jacobian(square_team, cell, alpha)
+        q = cell_jacobian(square_team, cell, alpha)
         vals = sd.pure_deformation_spectrum(q)
         assert np.max(np.abs(vals - [1.0, 0.6, 0.6])) < 1e-12
 
@@ -109,7 +109,7 @@ def test_skewed_cell_dips_below_smaller_alpha():
     cell = sd.TriangleCell(1, (3, 1, 2), (1, 2, 3), 1.0)
     team = sd.TeamConfiguration(partition, positions, (cell,),
                                 sd.SafetyParameters(0.1, 0.4, 25.0, 1.0))
-    q = sd.triangle_jacobian(team, cell, np.array([1.0, 0.5, 0.0]))
+    q = cell_jacobian(team, cell, np.array([1.0, 0.5, 0.0]))
     vals = sd.pure_deformation_spectrum(q)
     oracle = np.linalg.svd(q, compute_uv=False)
     assert np.max(np.abs(vals - oracle)) < 1e-12
@@ -195,6 +195,23 @@ def test_closest_pairs_extreme_coordinates_match_pdist(monkeypatch, scale, start
     # the samples before `start` come from the first anchor's blocks (8, then
     # 16 cut short), the scaled ones from pdist
     assert len(calls) == 1 + 16 - start
+
+
+def test_non_finite_samples_make_no_pdist_call(monkeypatch):
+    # their nan and first pair are written directly: the anchored sweep
+    # pdists only the anchors of the two finite runs around sample 9, and
+    # the k-d tree path none at all
+    small = sparse_lattice()[None] + 0.25 * np.arange(14)[:, None, None]
+    small[9, 7, 1] = np.nan
+    large = drifting_lattice(KDTREE_MIN_AGENTS + 4, 5)
+    large[0, 0, 0] = np.nan
+    large[2, 100, 1] = np.inf
+    for stack, pdists in ((small, 2), (large, 0)):
+        calls = _counting_pdist(monkeypatch)
+        dist, pairs = closest_pairs(stack)
+        ref_dist, ref_pairs = first_argmin_oracle(stack)
+        assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
+        assert len(calls) == pdists
 
 
 @pytest.fixture(scope="module")
@@ -392,7 +409,7 @@ def test_certified_spectra_of_folded_cells_match_svd(square_team, square_certifi
     alpha[:, 1] = 0.9
     folded = dataclasses.replace(schedule, alpha=alpha)
     report = sd.certify_configuration(square_team, folded, desired)
-    svd = np.array([[np.linalg.svd(sd.triangle_jacobian(square_team, cell, row),
+    svd = np.array([[np.linalg.svd(cell_jacobian(square_team, cell, row),
                                    compute_uv=False) for cell in square_team.cells]
                     for row in alpha])
     assert np.max(np.abs(report.lambdas - svd)) <= 1e-12

@@ -30,7 +30,7 @@ def test_load_square_round_trip(square_scenario, square_doc):
     team = square_scenario.team
     assert team.n_agents == 13
     for agent, triple in square_doc["team"]["positions"].items():
-        assert np.array_equal(team.position(int(agent)), np.asarray(triple, dtype=float))
+        assert np.array_equal(team.positions[int(agent) - 1], np.asarray(triple, dtype=float))
     assert team.safety.delta == 0.05
     assert team.safety.a0 == 4.0
     assert square_scenario.qp.bounds_mode == "fixed"
@@ -79,6 +79,19 @@ def test_parse_ids_forms():
     assert _parse_ids([1, "2..3", "6"]) == [1, 2, 3, 6]
     with pytest.raises(sd.ScenarioError, match="empty id range"):
         _parse_ids("9..4")
+    for value in (True, 7.0, [1, 2.5]):
+        with pytest.raises(sd.ScenarioError, match="agent id must be an integer"):
+            _parse_ids(value)
+
+
+def test_integer_fields_accept_numeral_strings(square_scenario, square_doc):
+    square_doc["team"]["n_agents"] = "13"
+    square_doc["team"]["positions"] = {
+        str(agent): triple for agent, triple in square_doc["team"]["positions"].items()}
+    square_doc["team"]["layers"] = [["1", 2, "3..5"], "6..9", "10..13"]
+    team = sd.load_scenario(square_doc).team
+    assert np.array_equal(team.positions, square_scenario.team.positions)
+    assert team.partition.new_sets == square_scenario.team.partition.new_sets
 
 
 def test_duplicate_layer_ids_rejected(square_doc):

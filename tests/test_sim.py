@@ -104,16 +104,9 @@ def test_closed_loop_log_shapes(square_log):
 
 
 def test_closed_loop_converges(square_log):
-    assert sd.tracking_error(square_log, after=10.0) <= 0.05
+    assert square_log.tracking[square_log.t >= 10.0].max() <= 0.05
     assert square_log.tracking[-1] < 2e-2
     assert np.all(square_log.min_dist_desired >= 0.4)
-
-
-def test_tracking_error_mask(square_log):
-    full = sd.tracking_error(square_log)
-    assert full == square_log.tracking.max()
-    with pytest.raises(ValueError, match="no samples"):
-        sd.tracking_error(square_log, after=1e6)
 
 
 def test_tracking_is_each_steps_error(square_log, helix_team, helix_weights, helix_scenario):
