@@ -21,7 +21,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError, SafetyWindowError
 from .qp import Schedule
-from .team import SafetyParameters, TeamConfiguration, TriangleCell
+from .team import SafetyParameters, TeamConfiguration
 
 # how far below its bound a deformation margin or a distance may fall and pass
 MARGIN_TOL = 1e-9
@@ -57,59 +57,50 @@ def alpha_bounds(team: TeamConfiguration) -> SafetyBounds:
     return safety_window((cell.p_min for cell in team.cells), team.safety)
 
 
-@dataclass(frozen=True, eq=False)
-class CellBasis:
-    """Affine pieces of one cell's deformation Jacobian.
+def cell_blocks(team: TeamConfiguration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-plane blocks of every cell's deformation Jacobian.
 
-    Q(t) = alpha_a(t) * k1 + alpha_b(t) * k2 + k3 where (alpha_a, alpha_b) are
-    the scale factors of the cell's two boundary vertices. Q fixes the unit
-    normal n and maps the cell plane to itself, so in the orthonormal frame
-    (e1, e2, n), e1 = a1 / |a1| and e2 = n x e1, it is the 2x2 block
-    alpha_a * b1 + alpha_b * b2 plus 1 on n.
+    Returns the 0-based indices (n_cells, 2) of each cell's boundary vertices
+    a and b, and the blocks b1, b2 (n_cells, 2, 2). With a1 = v_a - core,
+    a2 = v_b - core and the unit normal n, the Jacobian Q maps a1, a2 and n
+    to alpha_a * a1, alpha_b * a2 and n; in the orthonormal frame (e1, e2, n),
+    e1 = a1 / |a1| and e2 = n x e1, it is the 2x2 block
+    B = alpha_a * b1 + alpha_b * b2 plus 1 on n.
     """
+    index, b1, b2 = [], [], []
+    for cell in team.cells:
+        core, va, vb = team.positions[np.array(cell.vertices) - 1]
+        a1, a2 = va - core, vb - core
+        normal = np.cross(a1, a2)
+        norm = np.linalg.norm(normal)
+        scale = np.linalg.norm(a1) * np.linalg.norm(a2)
+        if norm <= 1e-12 * scale:
+            raise NumericalError(f"cell {cell.cell_id} basis is degenerate")
+        normal = normal / norm
+        m_inv = np.linalg.inv(np.column_stack([a1, a2, normal]))
+        e1 = a1 / np.linalg.norm(a1)
+        frame = np.column_stack([e1, np.cross(normal, e1)])
+        index.append((cell.vertices[1] - 1, cell.vertices[2] - 1))
+        b1.append(np.outer(a1 @ frame, m_inv[0] @ frame))
+        b2.append(np.outer(a2 @ frame, m_inv[1] @ frame))
+    return np.array(index), np.array(b1), np.array(b2)
 
-    k1: np.ndarray
-    k2: np.ndarray
-    k3: np.ndarray
-    alpha_index: tuple[int, int]
-    b1: np.ndarray   # (2, 2) k1 in the in-plane frame
-    b2: np.ndarray   # (2, 2) k2 in the in-plane frame
 
-
-def cell_basis(team: TeamConfiguration, cell: TriangleCell) -> CellBasis:
-    core, va, vb = team.positions[np.array(cell.vertices) - 1]
-    a1 = va - core
-    a2 = vb - core
-    normal = np.cross(a1, a2)
-    norm = np.linalg.norm(normal)
-    scale = np.linalg.norm(a1) * np.linalg.norm(a2)
-    if norm <= 1e-12 * scale:
-        raise NumericalError(f"cell {cell.cell_id} basis is degenerate")
-    normal = normal / norm
-    m = np.column_stack([a1, a2, normal])
-    m_inv = np.linalg.inv(m)
-    k1 = np.outer(a1, m_inv[0])
-    k2 = np.outer(a2, m_inv[1])
-    k3 = np.outer(normal, m_inv[2])
-    e1 = a1 / np.linalg.norm(a1)
-    frame = np.column_stack([e1, np.cross(normal, e1)])
-    b1 = np.outer(a1 @ frame, m_inv[0] @ frame)
-    b2 = np.outer(a2 @ frame, m_inv[1] @ frame)
-    ia, ib = cell.vertices[1] - 1, cell.vertices[2] - 1
-    return CellBasis(k1, k2, k3, (ia, ib), b1, b2)
+def _nonsingular(sv: np.ndarray) -> np.ndarray:
+    """`sv`, descending singular values (..., 3), unless a Jacobian is singular:
+    sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3. A nan passes."""
+    if np.any(sv.prod(axis=-1) <= 1e-12 * sv[..., 0] ** 3):
+        raise NumericalError("deformation Jacobian is singular")
+    return sv
 
 
 def pure_deformation_spectrum(q: np.ndarray) -> np.ndarray:
     """Singular values of Jacobian(s), descending; accepts (3,3) or (..,3,3)."""
     q = np.asarray(q, dtype=float)
-    # first: a nan passes the singular test below, an inf can fail it, and
-    # LAPACK's answer to either varies by build
+    # first: LAPACK's answer to a nan or an inf varies by build
     if not np.isfinite(q).all():
         raise NumericalError("deformation Jacobian is not finite")
-    scale = np.abs(q).max(axis=(-2, -1))
-    if np.any(np.abs(np.linalg.det(q)) <= 1e-12 * np.maximum(scale, 1e-300) ** 3):
-        raise NumericalError("deformation Jacobian is singular")
-    return np.linalg.svd(q, compute_uv=False)
+    return _nonsingular(np.linalg.svd(q, compute_uv=False))
 
 
 # unused in the package, kept because the benchmark tracer (perfbench/) wraps
@@ -120,7 +111,7 @@ def eigvals_sym3(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))[..., ::-1]
 
 
-def _cell_spectra(bases: list[CellBasis], alpha: np.ndarray) -> np.ndarray:
+def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
     """Singular values (n, n_cells, 3), descending, of every cell and sample.
 
     The normal is fixed by Q and by Q^T, so the values are 1 and the two of
@@ -128,23 +119,15 @@ def _cell_spectra(bases: list[CellBasis], alpha: np.ndarray) -> np.ndarray:
     h = hypot(p + s, q - r) / 2 and g = hypot(p - s, q + r) / 2. A non-finite
     scale reads as nan, so every value of its cell is nan.
     """
-    ia, ib = np.array([basis.alpha_index for basis in bases]).T
-    k1, k2, k3, b1, b2 = (np.stack([getattr(basis, name) for basis in bases])
-                          for name in ("k1", "k2", "k3", "b1", "b2"))
+    index, b1, b2 = cell_blocks(team)
     alpha = np.where(np.isfinite(alpha), alpha, np.nan)
-    a = alpha[:, ia, None, None]
-    b = alpha[:, ib, None, None]
-    # the predicate of pure_deformation_spectrum, with det Q = det B
-    scale = np.abs(a * k1 + b * k2 + k3).max(axis=(2, 3))
-    block = a * b1 + b * b2
+    block = alpha[:, index[:, 0], None, None] * b1 + alpha[:, index[:, 1], None, None] * b2
     p, q, r, s = block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
-    if np.any(np.abs(p * s - q * r) <= 1e-12 * scale ** 3):
-        raise NumericalError("deformation Jacobian is singular")
     h = 0.5 * np.hypot(p + s, q - r)
     g = 0.5 * np.hypot(p - s, q + r)
     big, small = h + g, np.abs(h - g)
-    return np.stack([np.maximum(big, 1.0), np.maximum(small, np.minimum(big, 1.0)),
-                     np.minimum(small, 1.0)], axis=-1)
+    return _nonsingular(np.stack([np.maximum(big, 1.0), np.maximum(small, np.minimum(big, 1.0)),
+                                  np.minimum(small, 1.0)], axis=-1))
 
 
 # Distance sweep. `closest_pairs` takes each finite sample's closest pair from
@@ -168,11 +151,11 @@ def _cell_spectra(bases: list[CellBasis], alpha: np.ndarray) -> np.ndarray:
 #    translation; with u_k = w_k - c, |D_s - D0| <= |u_i - u_j| <= 2R for every
 #    pair, and a pair left out is farther apart than U at s. The samples
 #    after an anchor go in blocks of _LOOKAHEAD[0], doubling up to
-#    _LOOKAHEAD[1], until a bound admits more than 1/_SHARE of the pairs; that
-#    sample is the next anchor. An anchor whose first block does not fit
-#    whole starts a run of per-sample pdist, 1, 2, 4, ... up to _BACKOFF_MAX
-#    samples long, so a deforming mission stays on path 1 but for a rare
-#    anchor.
+#    _LOOKAHEAD[1], until a block's bound admits more than 1/_SHARE of the
+#    pairs; that block's first sample is the next anchor. An anchor whose
+#    first block does not fit starts a run of per-sample pdist, 1, 2, 4, ...
+#    up to _BACKOFF_MAX samples long, so a deforming mission stays on path 1
+#    but for a rare anchor.
 #    The slack is absolute in the coordinate magnitude M, not only relative
 #    to the distances. A computed distance is within 4 unit roundoffs
 #    (u = 2**-53) of the distance between the stored doubles, but the
@@ -197,12 +180,12 @@ def _cell_spectra(bases: list[CellBasis], alpha: np.ndarray) -> np.ndarray:
 # - _SHARE: a rigid helix67 translation ties 24 pairs (1.1 %) at the minimum,
 #   which 1/128 (17 pairs) no longer admits; paper-exact bounds admit a median
 #   2.5 % of the pairs one sample after an anchor and 8.7 % four samples
-#   after, so at 1/32 it keeps 2492 of 2501 samples on pdist. 69 candidates
+#   after, so at 1/32 it keeps 2493 of 2501 samples on pdist. 69 candidates
 #   cost about 2 us a sample against 24 us for pdist and its argmin.
 # - _LOOKAHEAD: an anchor whose first block fails costs about 94 us, 2.5
 #   pdists. With first blocks of 4, paper-exact at dt 0.1 (10001 samples) took
 #   5612 samples from short anchored runs and swept up to 27 % slower than
-#   per-sample pdist; with 8 it keeps 9863 on pdist. Blocks of 256 spread the
+#   per-sample pdist; with 8 it keeps 9873 on pdist. Blocks of 256 spread the
 #   per-block calls to under 1 us a sample.
 # - _BACKOFF_MAX: at 128 paper-exact spends 7 % of its sweep on 27 failed
 #   anchors, at 1024 3 % on 13.
@@ -238,9 +221,9 @@ def _follow(stack: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int, i: np.
     """Sweep the finite samples after anchor a, up to `end`, on the pairs its bound admits.
 
     `d0` is the anchor's pdist and `k0` its first argmin. Stops before the
-    first sample whose bound admits more than `limit` pairs, or with a
-    coordinate above _MAX_COORD, and returns the number of samples swept: none
-    unless the first block fits whole.
+    first block whose bound admits more than `limit` pairs, or before the
+    first sample with a coordinate above _MAX_COORD, and returns the number of
+    samples swept.
     """
     anchor = stack[a]
     top = np.abs(anchor).max()
@@ -257,23 +240,15 @@ def _follow(stack: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int, i: np.
         bound = _pair_distances(block, *closest)[:, 0] + 2.0 * _reach(block - anchor)
         bound += _SLACK * (bound + scale) + _TINY
         pick = np.flatnonzero(d0 <= bound.max())
-        q = block.shape[0]
         if pick.size > limit:
-            if s == a + 1:
-                break
-            # bounds below the cap admit at most `limit` pairs, and the largest does not
-            cap = np.partition(d0[pick], limit)[limit]
-            q = int(np.argmin(bound < cap))
-            pick = pick[d0[pick] <= bound[:q].max()] if q else pick
-        if q:
-            d = _pair_distances(block[:q], i[pick], j[pick])
-            first = d.argmin(axis=1)
-            dist[s:s + q] = d[np.arange(q), first]
-            k = pick[first]
-            pairs[s:s + q] = np.stack([i[k], j[k]], axis=1)
-            s += q
-        if q < block.shape[0]:
             break
+        q = block.shape[0]
+        d = _pair_distances(block, i[pick], j[pick])
+        first = d.argmin(axis=1)
+        dist[s:s + q] = d[np.arange(q), first]
+        k = pick[first]
+        pairs[s:s + q] = np.stack([i[k], j[k]], axis=1)
+        s += q
         size = min(2 * size, _LOOKAHEAD[1])
     return s - a - 1
 
@@ -431,7 +406,7 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
 
     cells = team.cells
     n_cells = len(cells)
-    lambdas = _cell_spectra([cell_basis(team, cell) for cell in cells], schedule.alpha)
+    lambdas = _cell_spectra(team, schedule.alpha)
 
     clearance = team.safety.clearance
     cell_bounds = np.array([clearance / cell.p_min for cell in cells])

@@ -18,7 +18,7 @@ from .errors import ScenarioError
 from .hierarchy import AVERAGING_MODES
 from .qp import SCALING_MODES
 from .safety import alpha_bounds
-from .sim import SIM_MODES, make_trajectory
+from .sim import SIM_MODES, ReferenceTrajectory, make_trajectory
 from .team import (LayerPartition, SafetyParameters, TeamConfiguration,
                    ValidationReport, boundary_reference_magnitude, build_cells,
                    validate_team)
@@ -74,6 +74,16 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A number (not a bool) or a numeral string, as a float.
+
+    `float` would read a bool as 1.0 or 0.0.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _parse_ids(value, what: str = "agent id") -> list[int]:
@@ -141,17 +151,15 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
         agent = _integer(key, "team.positions key")
         if not 1 <= agent <= n:
             raise ScenarioError(f"position given for unknown agent {agent}")
-        arr = np.asarray(triple, dtype=float)
-        if arr.shape != (3,):
+        if not isinstance(triple, (list, tuple, np.ndarray)) or len(triple) != 3:
             raise ScenarioError(f"agent {agent}: position must be an [x, y, z] triple")
-        positions[agent - 1] = arr
+        positions[agent - 1] = [_real(x, "team.positions coordinate") for x in triple]
     missing = [i + 1 for i in range(n) if np.isnan(positions[i]).any()]
     if missing:
         raise ScenarioError(f"agents {missing} have no material position")
 
-    delta = float(_require(ssec, "delta", "safety"))
-    epsilon = float(_require(ssec, "epsilon", "safety"))
-    a_max = float(_require(ssec, "a_max", "safety"))
+    delta, epsilon, a_max = (_real(_require(ssec, key, "safety"), f"safety.{key}")
+                             for key in ("delta", "epsilon", "a_max"))
     safety = SafetyParameters(delta, epsilon, a_max,
                               boundary_reference_magnitude(positions, partition.n_pl))
 
@@ -176,7 +184,8 @@ def _parse_weights(doc: Mapping) -> WeightsSettings:
             rows = _section(entry, "rows", "weights.matrices", required=True)
             matrices.append((layer, {
                 _integer(a, "weights.matrices.rows agent id"): {
-                    _integer(l, "weights.matrices.rows leader id"): float(w) for l, w in
+                    _integer(l, "weights.matrices.rows leader id"):
+                    _real(w, "weights.matrices.rows weight") for l, w in
                     _section(rows, a, "weights.matrices.rows", required=True).items()}
                 for a in rows}))
     return WeightsSettings(mode, average, tuple(matrices))
@@ -184,15 +193,15 @@ def _parse_weights(doc: Mapping) -> WeightsSettings:
 
 def _parse_qp(doc: Mapping) -> QpSettings:
     qsec = _section(doc, "qp", "")
-    zeta = float(qsec.get("zeta", 1e-6))
+    zeta = _real(qsec.get("zeta", 1e-6), "qp.zeta")
     scaling = _choice(qsec, "scaling", "qp", "consistent", SCALING_MODES)
     bsec = _section(qsec, "alpha_bounds", "qp")
     bounds_mode = _choice(bsec, "mode", "qp.alpha_bounds",
                           "safety" if "min" not in bsec else "fixed", ("fixed", "safety"))
     amin = amax = None
     if bounds_mode == "fixed":
-        amin = float(_require(bsec, "min", "qp.alpha_bounds"))
-        amax = float(_require(bsec, "max", "qp.alpha_bounds"))
+        amin, amax = (_real(_require(bsec, key, "qp.alpha_bounds"), f"qp.alpha_bounds.{key}")
+                      for key in ("min", "max"))
         if amin > amax:
             raise ScenarioError(f"qp.alpha_bounds: min {amin} exceeds max {amax}")
     return QpSettings(zeta, scaling, bounds_mode, amin, amax)
@@ -200,13 +209,13 @@ def _parse_qp(doc: Mapping) -> QpSettings:
 
 def _parse_sim(doc: Mapping) -> SimSettings:
     ssec = _section(doc, "sim", "")
-    duration = float(ssec.get("duration", 100.0))
-    dt = float(ssec.get("dt", 0.1))
+    duration = _real(ssec.get("duration", 100.0), "sim.duration")
+    dt = _real(ssec.get("dt", 0.1), "sim.dt")
     if duration <= 0.0 or dt <= 0.0:
         raise ScenarioError("sim.duration and sim.dt must be positive")
     gains = _section(ssec, "gains", "sim")
-    kp = float(gains.get("kp", 4.0))
-    kd = float(gains.get("kd", 4.0))
+    kp = _real(gains.get("kp", 4.0), "sim.gains.kp")
+    kd = _real(gains.get("kd", 4.0), "sim.gains.kd")
     if not (np.isfinite(kp) and np.isfinite(kd)):
         raise ScenarioError(f"sim.gains.kp and sim.gains.kd must be finite, got {kp} and {kd}")
     if kp < 0.0 or kd < 0.0:
@@ -214,6 +223,19 @@ def _parse_sim(doc: Mapping) -> SimSettings:
             f"sim.gains.kp and sim.gains.kd must be non-negative, got {kp} and {kd}")
     mode = _choice(ssec, "mode", "sim", "closed-loop", SIM_MODES)
     return SimSettings(duration, dt, kp, kd, mode)
+
+
+def _parse_trajectory(doc: Mapping) -> ReferenceTrajectory:
+    spec = dict(_section(doc, "trajectory", "", required=True))
+    if "omega" in spec:
+        spec["omega"] = _real(spec["omega"], "trajectory.omega")
+    for key in ("amplitudes", "times"):
+        if key in spec:
+            spec[key] = [_real(v, f"trajectory.{key}") for v in spec[key]]
+    if "points" in spec:
+        spec["points"] = [[_real(v, "trajectory.points") for v in point]
+                          for point in spec["points"]]
+    return make_trajectory(spec)
 
 
 def parse_scenario(doc: Mapping) -> Scenario:
@@ -232,7 +254,7 @@ def parse_scenario(doc: Mapping) -> Scenario:
             team=team,
             weights=_parse_weights(doc),
             qp=_parse_qp(doc),
-            trajectory=make_trajectory(_section(doc, "trajectory", "", required=True)),
+            trajectory=_parse_trajectory(doc),
             sim=_parse_sim(doc),
             validation=report,
         )

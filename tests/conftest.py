@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial.distance import pdist
 
 import swarmdeform as sd
-from swarmdeform.safety import cell_basis
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -109,10 +108,19 @@ def random_planner_instance(rng):
 
 
 def cell_jacobian(team, cell, alpha):
-    """Deformation Jacobian Q (3, 3) of one cell for a full alpha vector."""
-    basis = cell_basis(team, cell)
-    ia, ib = basis.alpha_index
-    return alpha[ia] * basis.k1 + alpha[ib] * basis.k2 + basis.k3
+    """Deformation Jacobian Q (3, 3) of one cell for a full alpha vector.
+
+    Q is the linear map that takes a1 = v_a - core, a2 = v_b - core and the
+    unit normal n to alpha_a * a1, alpha_b * a2 and n.
+    """
+    core, va, vb = team.positions[np.array(cell.vertices) - 1]
+    a1, a2 = va - core, vb - core
+    normal = np.cross(a1, a2)
+    normal = normal / np.linalg.norm(normal)
+    source = np.column_stack([a1, a2, normal])
+    image = np.column_stack([alpha[cell.vertices[1] - 1] * a1,
+                             alpha[cell.vertices[2] - 1] * a2, normal])
+    return np.linalg.solve(source.T, image.T).T
 
 
 def first_argmin_oracle(stack):

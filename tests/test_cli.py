@@ -223,20 +223,27 @@ def test_certify_infinite_a_max_exit_code(capsys, tmp_path):
 
 
 def test_certify_singular_jacobian_exit_code(capsys, tmp_path):
-    # one boundary scale at 0 in one sample collapses its cells' Jacobians
+    # one boundary scale at 0 in one sample collapses its cells' Jacobians; at
+    # 1e-12, sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3 still holds, and at
+    # 1e-11 the cells are certified, far below their bound
     trace = tmp_path / "plan.csv"
     assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
     lines = trace.read_text().splitlines()
-    fields = lines[20].split(",")
-    fields[lines[0].split(",").index("alpha_1")] = "0"
-    lines[20] = ",".join(fields)
-    trace.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "deformation Jacobian is singular" in captured.err
-    assert captured.out == ""
+    column = lines[0].split(",").index("alpha_1")
+    for scale, expected in (("0", 3), ("1e-12", 3), ("1e-11", 1)):
+        fields = lines[20].split(",")
+        fields[column] = scale
+        trace.write_text("\n".join(lines[:20] + [",".join(fields)] + lines[21:]) + "\n")
+        capsys.readouterr()
+        code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+        captured = capsys.readouterr()
+        assert code == expected
+        if code == 3:
+            assert "deformation Jacobian is singular" in captured.err
+            assert captured.out == ""
+        else:
+            assert captured.out.startswith(
+                "UNSAFE: worst margin -3.578e-01 (cell 1, sample 19)")
 
 
 def test_malformed_scenario_exit_code(capsys, tmp_path):
@@ -353,6 +360,42 @@ def test_fractional_or_boolean_id_exit_code(capsys, tmp_path, path, value, field
     captured = capsys.readouterr()
     assert code == 2
     assert f"error: {field} must be an integer, got " in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("safety", "delta"), True, "safety.delta"),
+    (("safety", "epsilon"), True, "safety.epsilon"),
+    (("safety", "a_max"), True, "safety.a_max"),
+    (("qp", "zeta"), True, "qp.zeta"),
+    (("qp", "alpha_bounds", "min"), True, "qp.alpha_bounds.min"),
+    (("qp", "alpha_bounds", "max"), True, "qp.alpha_bounds.max"),
+    (("sim", "duration"), True, "sim.duration"),
+    (("sim", "dt"), True, "sim.dt"),
+    (("sim", "gains", "kp"), True, "sim.gains.kp"),
+    (("sim", "gains", "kd"), True, "sim.gains.kd"),
+    (("weights",), {"mode": "explicit", "matrices": [{"layer": 2, "rows": {6: {1: True}}}]},
+     "weights.matrices.rows weight"),
+    (("team", "positions", 13, 2), True, "team.positions coordinate"),
+    (("trajectory",), {"kind": "helix", "omega": True}, "trajectory.omega"),
+    (("trajectory",), {"kind": "helix", "amplitudes": [0.4, True, 0.6]},
+     "trajectory.amplitudes"),
+    (("trajectory", "times", 0), False, "trajectory.times"),
+    (("trajectory", "points", 1, 2), True, "trajectory.points"),
+], ids=["delta", "epsilon", "a_max", "zeta", "alpha-min", "alpha-max", "duration", "dt",
+        "kp", "kd", "weight", "position", "omega", "amplitude", "time", "point"])
+def test_boolean_number_exit_code(capsys, tmp_path, path, value, field):
+    # float() would read the bool as 1.0 or 0.0 and plan on
+    doc = node = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code = main(["plan", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {field} must be a number, got " in captured.err
     assert captured.out == ""
 
 

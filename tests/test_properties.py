@@ -8,9 +8,12 @@ coordinates are checked against per-point scalar calls, and the composite
 map against its defining properties. The stacked box active-set solve is
 checked against its one-row calls and a bounded least-squares oracle. The
 stacked closest-pair sweep is checked against pdist and a first argmin, the
-certifier's distance verdict on square13 against injected faults, and its
-spectra and verdict on generated missions against SVD, pdist and the window.
+certifier's distance verdict on square13 against injected faults, its
+spectra and verdict on generated missions against SVD, pdist and the window,
+and its verdict on those missions with one nan or inf injected.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -441,8 +444,9 @@ def scaled_missions(draw):
 
 # hard cases pinned on one skewed six-leader team: all boundary scales equal
 # (a double singular value in every cell), equal up to 1e-9 (a nearly double
-# one), and one scale exactly on the window's upper edge, which passes, or
-# one double above it, which fails the window; 0.5 is the window's lower edge
+# one), one scale exactly on the window's upper edge, which passes, or one
+# double above it, which fails the window, and one negative scale, which
+# folds its two cells and fails the window; 0.5 is the window's lower edge
 _PIN_TEAM = centroid_team(fan_team(6, 3.0, [0.1, -0.2, 0.0, 0.25, -0.1, 0.05], 0.7, 1.3,
                                    [], 0)[0],
                           [1.0, 0.6, 0.8, 0.45, 0.9, 0.7], 0.5, 2.0)
@@ -452,6 +456,8 @@ _PIN_EDGE = np.full((3, 6), 1.0)
 _PIN_EDGE[1, 3] = sd.alpha_bounds(_PIN_TEAM).alpha_max
 _PIN_ABOVE = _PIN_EDGE.copy()
 _PIN_ABOVE[1, 3] = np.nextafter(_PIN_EDGE[1, 3], np.inf)
+_PIN_FOLDED = _PIN_EDGE.copy()
+_PIN_FOLDED[1, 2] = -0.7
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -461,6 +467,7 @@ _PIN_ABOVE[1, 3] = np.nextafter(_PIN_EDGE[1, 3], np.inf)
     _PIN_EQUAL + 1e-9 * np.sin(np.arange(18.0)).reshape(3, 6), _PIN_SHIFT)))
 @example((_PIN_TEAM, boundary_schedule(_PIN_EDGE, _PIN_SHIFT)))
 @example((_PIN_TEAM, boundary_schedule(_PIN_ABOVE, _PIN_SHIFT)))
+@example((_PIN_TEAM, boundary_schedule(_PIN_FOLDED, _PIN_SHIFT)))
 def test_certificate_matches_svd_pdist_and_window_oracle(mission):
     team, schedule = mission
     weights = sd.build_layer_weights(team)
@@ -479,6 +486,43 @@ def test_certificate_matches_svd_pdist_and_window_oracle(mission):
              bool(np.all((schedule.alpha[:, :-1] > 0) & (schedule.alpha[:, :-1] <= ceiling))))
     assert (report.margins_ok, report.distance_ok, report.window_ok) == gates
     assert report.verdict == all(gates)
+
+
+@st.composite
+def non_finite_missions(draw):
+    """A scaled mission and its commanded positions with one nan or inf in a
+    schedule scale or shift (the positions follow), in one coordinate of the
+    positions, or in a safety parameter."""
+    team, schedule = draw(scaled_missions())
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    where = draw(st.sampled_from(["scale", "shift", "position", "delta", "epsilon",
+                                  "a_max", "a0"]))
+    sample = draw(st.integers(0, schedule.n_samples - 1))
+    alpha, shift = schedule.alpha.copy(), schedule.shift.copy()
+    if where == "scale":
+        alpha[sample, draw(st.integers(0, team.n_pl - 1))] = value
+    elif where == "shift":
+        shift[sample, draw(st.integers(0, 2))] = value
+    with np.errstate(invalid="ignore"):   # inf * 0, the core's material position
+        positions = sd.trajectory_positions(team, sd.build_layer_weights(team), alpha, shift)
+    if where == "position":
+        agent, axis = draw(st.integers(0, team.n_agents - 1)), draw(st.integers(0, 2))
+        positions[sample, agent, axis] = value
+    elif where not in ("scale", "shift"):
+        team = dataclasses.replace(team, safety=dataclasses.replace(team.safety,
+                                                                    **{where: value}))
+    return team, dataclasses.replace(schedule, alpha=alpha, shift=shift), positions
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(non_finite_missions(), st.sampled_from(["desired", "actual"]))
+def test_non_finite_input_is_never_safe(mission, kind):
+    team, schedule, positions = mission
+    try:
+        report = sd.certify_configuration(team, schedule, positions, kind)
+    except sd.SwarmError:
+        return
+    assert not report.verdict
 
 
 def per_step_loop(desired, r, gains, dt, limit, t_grid):

@@ -6,7 +6,7 @@ import pytest
 import swarmdeform as sd
 from conftest import cell_jacobian, drifting_lattice, first_argmin_oracle, sparse_lattice
 from swarmdeform import safety
-from swarmdeform.safety import KDTREE_MIN_AGENTS, cell_basis, closest_pairs, min_pairwise_distance
+from swarmdeform.safety import KDTREE_MIN_AGENTS, cell_blocks, closest_pairs, min_pairwise_distance
 from swarmdeform.scenario import planning_bounds
 
 
@@ -70,12 +70,12 @@ def test_alpha_bounds_helix(helix_team):
 
 
 def test_cell_basis_partitions_identity(square_team):
+    index, b1, b2 = cell_blocks(square_team)
+    assert index.tolist() == [[cell.vertices[1] - 1, cell.vertices[2] - 1]
+                              for cell in square_team.cells]
+    assert b1.shape == b2.shape == (len(square_team.cells), 2, 2)
+    assert np.max(np.abs(b1 + b2 - np.eye(2))) < 1e-14
     for cell in square_team.cells:
-        basis = cell_basis(square_team, cell)
-        assert basis.alpha_index == (cell.vertices[1] - 1, cell.vertices[2] - 1)
-        total = basis.k1 + basis.k2 + basis.k3
-        assert np.max(np.abs(total - np.eye(3))) < 1e-14
-        assert np.max(np.abs(basis.b1 + basis.b2 - np.eye(2))) < 1e-14
         q = cell_jacobian(square_team, cell, np.ones(square_team.n_pl))
         assert np.max(np.abs(q - np.eye(3))) < 1e-14
 
@@ -87,7 +87,7 @@ def test_cell_basis_degenerate_raises():
     team = sd.TeamConfiguration(partition, positions, (cell,),
                                 sd.SafetyParameters(0.1, 0.4, 25.0, 2.0))
     with pytest.raises(sd.NumericalError, match="degenerate"):
-        cell_basis(team, cell)
+        cell_blocks(team)
 
 
 def test_uniform_scale_spectrum(square_team):
@@ -135,14 +135,20 @@ def test_spectrum_shapes_and_diagonal():
 
 
 def test_spectrum_singular_raises():
-    q = np.diag([1.0, 1.0, 0.0])
-    with pytest.raises(sd.NumericalError, match="singular"):
-        sd.pure_deformation_spectrum(q)
+    # singular when sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3. The last
+    # case has det 9.0e-12 against 1e-12 sigma_1**3 = 2.7e-11: the cutoff
+    # scales with sigma_1, not with the largest entry (1e-12 max|Q|**3 = 1e-12)
+    near = np.ones((3, 3)) + np.diag([0.0, 3e-6, 3e-6])
+    assert np.linalg.det(near) == pytest.approx(9.0e-12, rel=1e-3)
+    for q in (np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 5e-13]), near):
+        with pytest.raises(sd.NumericalError, match="singular"):
+            sd.pure_deformation_spectrum(q)
+    np.testing.assert_allclose(sd.pure_deformation_spectrum(np.diag([1.0, 1.0, 2e-12])),
+                               [1.0, 1.0, 2e-12], rtol=1e-9)
 
 
 def test_spectrum_non_finite_raises():
-    # checked before the singular test: an infinite entry makes the singular
-    # threshold infinite, so diag(1, inf, 2) would read as singular
+    # checked before the SVD, whose answer to a nan or an inf varies by build
     mats = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
     mats[2, 0, 1] = np.nan
     for q in (mats, np.diag([1.0, np.inf, 2.0])):
@@ -192,9 +198,12 @@ def test_closest_pairs_extreme_coordinates_match_pdist(monkeypatch, scale, start
     dist, pairs = closest_pairs(stack)
     ref_dist, ref_pairs = first_argmin_oracle(stack)
     assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
-    # the samples before `start` come from the first anchor's blocks (8, then
-    # 16 cut short), the scaled ones from pdist
-    assert len(calls) == 1 + 16 - start
+    # samples 1 to 8 come from the first anchor's first block, and the scaled
+    # ones from pdist. An overflowed sample ends the anchored run before it;
+    # an underflowed one fails the second block (samples 9 to 15) whole, and
+    # that block's first sample is the next anchor
+    first_pdist = start if scale > 1.0 else 9
+    assert len(calls) == 1 + 16 - first_pdist
 
 
 def test_non_finite_samples_make_no_pdist_call(monkeypatch):

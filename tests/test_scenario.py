@@ -94,6 +94,26 @@ def test_integer_fields_accept_numeral_strings(square_scenario, square_doc):
     assert team.partition.new_sets == square_scenario.team.partition.new_sets
 
 
+def test_float_fields_accept_numeral_strings(square_scenario, square_doc):
+    square_doc["team"]["positions"][13] = ["1.0", "-2.5", "0"]
+    square_doc["safety"] = {"delta": "0.05", "epsilon": "0.15", "a_max": "4.9"}
+    square_doc["qp"]["zeta"] = "1.0e-6"
+    square_doc["qp"]["alpha_bounds"].update(min="0.5", max="1.1")
+    square_doc["sim"] = {"duration": "30", "dt": "0.1", "gains": {"kp": "4", "kd": "4.0"}}
+    square_doc["trajectory"]["times"] = ["0", 10, "20.0", 30.0]
+    square_doc["trajectory"]["points"][1] = ["0.3", "0.2", 0.1]
+    scenario = sd.load_scenario(square_doc)
+    assert np.array_equal(scenario.team.positions, square_scenario.team.positions)
+    assert scenario.team.safety == square_scenario.team.safety
+    assert scenario.qp == square_scenario.qp and scenario.sim == square_scenario.sim
+    t = np.linspace(0.0, 30.0, 61)
+    assert np.array_equal(scenario.trajectory.position(t), square_scenario.trajectory.position(t))
+    helix = sd.load_scenario({**square_doc, "trajectory": {
+        "kind": "helix", "omega": "0.02", "amplitudes": ["1", 2.0, "3e0"]}})
+    assert np.array_equal(helix.trajectory.position(t),
+                          sd.helix_reference(0.02, (1.0, 2.0, 3.0)).position(t))
+
+
 def test_duplicate_layer_ids_rejected(square_doc):
     square_doc["team"]["layers"][1] = "6..9,7"
     with pytest.raises(sd.ScenarioError, match="duplicate agent ids"):
