@@ -135,6 +135,8 @@ def trajectory_positions(team: TeamConfiguration, weights: LayerWeights,
         raise ScenarioError(f"alpha must have length {team.n_pl}")
     if shifts.shape != (alphas.shape[0], 3):
         raise ScenarioError("shift must be an [x, y, z] triple")
+    # a non-finite input reads nan, so inf * 0 at a zero material coordinate cannot warn
+    alphas, shifts = (np.where(np.isfinite(x), x, np.nan) for x in (alphas, shifts))
     return weights.composite @ (alphas[:, :, None] * team.leader_positions + shifts[:, None, :])
 
 

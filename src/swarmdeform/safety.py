@@ -6,7 +6,7 @@ farthest boundary leader inside the motion-space ball of radius a_max. A
 configuration at time t is certified by the smallest singular value of each
 cell's deformation Jacobian (separation shrinks by at most that factor), a
 direct minimum-distance sweep of the commanded positions, and a check that
-every boundary scale factor is positive and inside the window's upper edge.
+every boundary scale is in (0, upper edge] and the core scale and shift finite.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ def cell_blocks(team: TeamConfiguration) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _nonsingular(sv: np.ndarray) -> np.ndarray:
     """`sv`, descending singular values (..., 3), unless a Jacobian is singular:
-    sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3. A nan passes."""
-    if np.any(sv.prod(axis=-1) <= 1e-12 * sv[..., 0] ** 3):
+    sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3, tested on the ratios to sigma_1
+    so it cannot overflow (sigma_1 = 0, the zero matrix, divides by 1). A nan passes."""
+    ratio = sv[..., 1:] / np.where(sv[..., :1] == 0.0, 1.0, sv[..., :1])
+    if np.any(ratio[..., 0] * ratio[..., 1] <= 1e-12):
         raise NumericalError("deformation Jacobian is singular")
     return sv
 
@@ -130,20 +132,20 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
                                   np.minimum(small, 1.0)], axis=-1))
 
 
-# Distance sweep. `closest_pairs` takes each finite sample's closest pair from
-# one of three paths, and every path gives what pdist and a first argmin give,
-# bit for bit: candidate distances are recomputed with pdist's arithmetic
-# (`_pair_distances`) and taken in pdist's condensed order, and a pair is left
-# out only when its computed distance provably exceeds a candidate's, so every
-# pair that reaches the minimum is a candidate. A sample with a non-finite
-# coordinate takes no path: with its non-finite coordinates read as nan,
-# pdist's first nan is the pair (0, b) of the first such agent b, or (0, 1)
-# when b is 0, and that is written directly.
+# Distance sweep. `closest_pairs` routes each sample once, by its largest
+# coordinate magnitude, to one of three paths, and every path gives what pdist
+# and a first argmin give, bit for bit: candidate distances are recomputed
+# with pdist's arithmetic (`_pair_distances`) and taken in pdist's condensed
+# order, and a pair is left out only when its computed distance provably
+# exceeds a candidate's, so every pair that reaches the minimum is a
+# candidate. A sample with a non-finite coordinate takes no path: with its
+# non-finite coordinates read as nan, pdist's first nan is the pair (0, b) of
+# the first such agent b, or (0, 1) when b is 0, and that is written directly.
 #
 # 1. Per-sample pdist: samples with a coordinate above _MAX_COORD, teams of
-#    fewer than _SHARE pairs, and the backoff runs of path 2.
+#    fewer than _SHARE pairs, and the anchors and backoff runs of path 2.
 # 2. Anchored sweep, teams below KDTREE_MIN_AGENTS. An anchor sample a gets a
-#    full pdist. A finite sample s after it checks only the pairs whose anchor
+#    full pdist. A sample s after it checks only the pairs whose anchor
 #    distance D0 is at most U + 2R + slack. U is the distance at s of the
 #    anchor's closest pair, so the minimum at s is at most U. R is half the
 #    diagonal of the bounding box of the agents' displacements from a, so no
@@ -167,10 +169,10 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
 #    _MAX_COORD no square overflows.
 # 3. k-d tree, teams of KDTREE_MIN_AGENTS and up (`_tree_closest`). Its warm
 #    radius, the distance at s of the previous sample's closest pair, is used
-#    while it is at most _WARM_RATIO times D_min(s - 1) - 2R, a lower bound on
-#    the minimum at s (R between samples s - 1 and s); after a jump it could
-#    take in up to all N(N-1)/2 pairs, and the nearest-neighbour radius is
-#    taken instead.
+#    when that sample took path 3 too and while it is at most _WARM_RATIO
+#    times D_min(s - 1) - 2R, a lower bound on the minimum at s (R between
+#    samples s - 1 and s); after a jump it could take in up to all N(N-1)/2
+#    pairs, and the nearest-neighbour radius is taken instead.
 #
 # Measured on a 2-core Xeon VM (helix67 at dt 0.4, 2501 samples, N = 67):
 # - KDTREE_MIN_AGENTS: per-sample sweep of a slowly moving jittered lattice
@@ -216,33 +218,24 @@ def _reach(w: np.ndarray) -> np.ndarray:
     return np.sqrt(half[0] * half[0] + half[1] * half[1] + half[2] * half[2])
 
 
-def _follow(stack: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int, i: np.ndarray,
-            j: np.ndarray, limit: int, dist: np.ndarray, pairs: np.ndarray) -> int:
-    """Sweep the finite samples after anchor a, up to `end`, on the pairs its bound admits.
+def _follow(stack: np.ndarray, top: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int,
+            i: np.ndarray, j: np.ndarray, limit: int, dist: np.ndarray, pairs: np.ndarray) -> int:
+    """Sweep the samples after anchor a, up to `end`, on the pairs its bound admits.
 
-    `d0` is the anchor's pdist and `k0` its first argmin. Stops before the
-    first block whose bound admits more than `limit` pairs, or before the
-    first sample with a coordinate above _MAX_COORD, and returns the number of
-    samples swept.
+    `top` is each sample's largest coordinate magnitude, `d0` the anchor's
+    pdist and `k0` its first argmin. Stops before the first block whose bound
+    admits more than `limit` pairs, and returns the number of samples swept.
     """
-    anchor = stack[a]
-    top = np.abs(anchor).max()
     closest = (i[k0:k0 + 1], j[k0:k0 + 1])
     s, size = a + 1, _LOOKAHEAD[0]
-    while s < end and top <= _MAX_COORD:
+    while s < end:
         block = stack[s:min(s + size, end)]
-        scale = np.maximum(np.abs(block).max(axis=(1, 2)), top)
-        if scale.max() > _MAX_COORD:
-            end = s + int(np.argmax(scale > _MAX_COORD))
-            if end == s:
-                break
-            block, scale = block[:end - s], scale[:end - s]
-        bound = _pair_distances(block, *closest)[:, 0] + 2.0 * _reach(block - anchor)
-        bound += _SLACK * (bound + scale) + _TINY
+        q = block.shape[0]
+        bound = _pair_distances(block, *closest)[:, 0] + 2.0 * _reach(block - stack[a])
+        bound += _SLACK * (bound + np.maximum(top[s:s + q], top[a])) + _TINY
         pick = np.flatnonzero(d0 <= bound.max())
         if pick.size > limit:
             break
-        q = block.shape[0]
         d = _pair_distances(block, i[pick], j[pick])
         first = d.argmin(axis=1)
         dist[s:s + q] = d[np.arange(q), first]
@@ -253,18 +246,17 @@ def _follow(stack: np.ndarray, a: int, end: int, d0: np.ndarray, k0: int, i: np.
     return s - a - 1
 
 
-def _anchored_closest(stack: np.ndarray, finite: np.ndarray, dist: np.ndarray,
-                      pairs: np.ndarray) -> None:
-    """Fill the closest distance and pair of every finite sample: paths 1 and 2."""
+def _anchored_closest(stack: np.ndarray, top: np.ndarray, in_range: np.ndarray,
+                      dist: np.ndarray, pairs: np.ndarray) -> None:
+    """Fill the closest distance and pair of every sample `in_range`: paths 1 and 2."""
     n, m = stack.shape[:2]
     i, j = np.triu_indices(m, 1)
     limit = i.size // _SHARE
-    # the samples that end a finite run
-    ends = iter(np.append(np.flatnonzero(~finite), n).tolist())
+    ends = iter(np.append(np.flatnonzero(~in_range), n).tolist())   # the samples ending a run
     end = next(ends)
     s = wait = retry = 0   # samples before `retry` are a backoff run's
     while s < n:
-        if s == end:   # not finite: the caller fills it
+        if s == end:   # routed elsewhere: the caller fills it
             s, wait, end = s + 1, 0, next(ends)
             continue
         d = pdist(stack[s])
@@ -273,7 +265,7 @@ def _anchored_closest(stack: np.ndarray, finite: np.ndarray, dist: np.ndarray,
         a, s = s, s + 1
         if a < retry:
             continue
-        swept = _follow(stack, a, end, d, k, i, j, limit, dist,
+        swept = _follow(stack, top, a, end, d, k, i, j, limit, dist,
                         pairs) if limit and end > s else 0
         s += swept
         if swept or end <= s:
@@ -316,22 +308,27 @@ def closest_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need at least two positions per sample in an (n, N, 3) "
                          f"stack, got shape {stack.shape}")
     n, m = stack.shape[:2]
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    top = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))   # nan or inf if not finite
+    in_range = top <= _MAX_COORD
     dist = np.full(n, np.nan)
     pairs = np.zeros((n, 2), dtype=np.intp)
-    bad = np.flatnonzero(~finite)
+    bad = np.flatnonzero(~np.isfinite(top))
     pairs[bad, 1] = np.maximum(np.isfinite(stack[bad]).all(axis=2).argmin(axis=1), 1)
+    for s in np.flatnonzero(np.isfinite(top) & ~in_range):
+        d = pdist(stack[s])
+        k = int(d.argmin())
+        # row i of pdist's condensed order starts at i (2m - i - 1) / 2
+        i = int(np.searchsorted(np.cumsum(np.arange(m - 1, 0, -1)), k, side="right"))
+        dist[s], pairs[s] = d[k], (i, k - i * (2 * m - i - 1) // 2 + i + 1)
     if m < KDTREE_MIN_AGENTS:
-        _anchored_closest(stack, finite, dist, pairs)
+        _anchored_closest(stack, top, in_range, dist, pairs)
         return dist, pairs
-    for s in np.flatnonzero(finite):
+    for s in np.flatnonzero(in_range):
         p = stack[s]
         radius = None
-        if s:   # a non-finite previous sample reads nan: no warm radius
+        if s and in_range[s - 1]:   # the previous sample took the tree too
             warm = _pair_distances(p, pairs[s - 1, :1], pairs[s - 1, 1:])[0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                lower = dist[s - 1] - 2.0 * _reach(p - stack[s - 1])
-            if warm <= _WARM_RATIO * lower:
+            if warm <= _WARM_RATIO * (dist[s - 1] - 2.0 * _reach(p - stack[s - 1])):
                 radius = warm
         dist[s], pairs[s] = _tree_closest(p, radius)
     return dist, pairs
@@ -363,8 +360,9 @@ class CertificationReport:
     min_distance_index: int
     alpha_ceiling: float           # upper edge of the safety window (motion-space ball)
     window_index: int              # first sample with a boundary scale outside
-                                   # (0, ceiling] or non-finite; -1 if none
-    window_alpha: float            # that scale; nan if none
+                                   # (0, ceiling], or a non-finite scale or shift; -1 if none
+    window_alpha: float            # that value; nan if none
+    window_entry: str              # "boundary scale", "core scale" or "shift s_x" ...; "" if none
 
     @property
     def window_ok(self) -> bool:
@@ -381,9 +379,12 @@ class CertificationReport:
                 f"min {self.positions_kind} distance {self.min_distance:.6f} "
                 f"(threshold {self.distance_threshold:.6f}, agents "
                 f"{self.min_distance_pair[0]}-{self.min_distance_pair[1]})")
-        if not self.window_ok:
+        if self.window_entry == "boundary scale":
             text += (f", boundary scale {self.window_alpha:.6g} outside the window "
                      f"(alpha_max {self.alpha_ceiling:.6g}, sample {self.window_index})")
+        elif self.window_entry:
+            text += (f", non-finite {self.window_entry} {self.window_alpha:.6g} "
+                     f"(sample {self.window_index})")
         return text
 
 
@@ -425,14 +426,19 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     # larger scales only raise lambda_3 and the distances, so the upper edge
     # of the window is checked on the schedule itself. A scale must also be
     # positive: scales -a point-reflect a cell, with the same lambda_3 and
-    # distances as scales a, but the path there folds it through Q = 0.
+    # distances as scales a, but the path there folds it through Q = 0. The
+    # core scale and the shift enter no other gate, so they must be finite.
     ceiling = alpha_bounds(team).alpha_max
-    boundary = schedule.alpha[:, :team.n_pl - 1]
-    outside = ~(np.isfinite(boundary) & (boundary > 0) & (boundary <= ceiling))
-    window_index, window_alpha = -1, math.nan
+    nb = team.n_pl - 1
+    values = np.hstack([schedule.alpha, schedule.shift])
+    outside = ~np.isfinite(values)
+    outside[:, :nb] = ~((values[:, :nb] > 0) & (values[:, :nb] <= ceiling))
+    window_index, window_alpha, window_entry = -1, math.nan, ""
     if outside.any():
-        window_index, col = divmod(int(np.argmax(outside)), boundary.shape[1])
-        window_alpha = float(boundary[window_index, col])
+        window_index, col = divmod(int(np.argmax(outside)), values.shape[1])
+        window_alpha = float(values[window_index, col])
+        window_entry = ("boundary scale" if col < nb else "core scale" if col == nb
+                        else f"shift s_{'xyz'[col - nb - 1]}")
 
     ids = team.partition.all_ids()
     pair_ids = (ids[min_pair[0]], ids[min_pair[1]])
@@ -440,4 +446,5 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
         schedule.t.copy(), lambdas, cell_bounds, margins, margins_ok,
         distance_trace, threshold, distance_ok, positions_kind, MARGIN_TOL,
         float(margins.min()), cells[worst_cell].cell_id, worst_idx,
-        float(min_distance), pair_ids, min_index, ceiling, window_index, window_alpha)
+        float(min_distance), pair_ids, min_index, ceiling, window_index, window_alpha,
+        window_entry)

@@ -141,7 +141,7 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
     run aborts once any agent strays DIVERGENCE_FACTOR * delta from command.
     The closed loop steps in blocks of BLOCK_COORDINATES: one commanded
     velocity pass, `pd_step` once per step, then one tracking and guard pass
-    that reports the block's first step over the limit.
+    that raises `NumericalError` at the block's first step over the limit.
     """
     if mode not in SIM_MODES:
         raise ScenarioError(f"unknown simulation mode {mode!r}")
@@ -174,9 +174,7 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
         step_dt = np.float64(dt)
         for a in range(1, n_steps + 1, block):
             b = min(a + block, n_steps + 1)
-            start = r, v
-            # warnings off: steps after a diverged one may overflow, and are discarded
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):   # the guard reports a divergence
                 v_des = (desired[a:b] - desired[a - 1:b - 1]) / dt
                 for i in range(a, b):
                     r, v = pd_step(r, v, desired[i], v_des[i - a], step_gains, step_dt)
@@ -185,17 +183,9 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
                                                      axis=2).max(axis=1)
             over = np.flatnonzero(~np.isfinite(err) | (err > limit))
             if over.size:
-                i = a + int(over[0])
-                # replay up to the first step over the limit with warnings on,
-                # so a run warns exactly where a per-step loop would
-                r, v = start
-                for k in range(a, i + 1):
-                    r, v = pd_step(r, v, desired[k], (desired[k] - desired[k - 1]) / dt,
-                                   step_gains, step_dt)
-                np.linalg.norm(r - desired[i], axis=1).max()
                 raise NumericalError(
-                    f"simulation diverged at t={t_grid[i]:.3f}: "
-                    f"tracking error {err[i - a]:.3f} exceeds {limit:.3f}")
+                    f"simulation diverged at t={t_grid[a + over[0]]:.3f}: "
+                    f"tracking error {err[over[0]]:.3f} exceeds {limit:.3f}")
 
     min_des = closest_pairs(desired)[0]
     min_act = closest_pairs(actual)[0]

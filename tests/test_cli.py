@@ -225,12 +225,13 @@ def test_certify_infinite_a_max_exit_code(capsys, tmp_path):
 def test_certify_singular_jacobian_exit_code(capsys, tmp_path):
     # one boundary scale at 0 in one sample collapses its cells' Jacobians; at
     # 1e-12, sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3 still holds, and at
-    # 1e-11 the cells are certified, far below their bound
+    # 1e-11 the cells are certified, far below their bound. At 1e200 the test
+    # holds too, and sigma_1**3 would overflow: the ratio form makes no warning
     trace = tmp_path / "plan.csv"
     assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
     lines = trace.read_text().splitlines()
     column = lines[0].split(",").index("alpha_1")
-    for scale, expected in (("0", 3), ("1e-12", 3), ("1e-11", 1)):
+    for scale, expected in (("0", 3), ("1e-12", 3), ("1e-11", 1), ("1e200", 3)):
         fields = lines[20].split(",")
         fields[column] = scale
         trace.write_text("\n".join(lines[:20] + [",".join(fields)] + lines[21:]) + "\n")
@@ -244,6 +245,24 @@ def test_certify_singular_jacobian_exit_code(capsys, tmp_path):
         else:
             assert captured.out.startswith(
                 "UNSAFE: worst margin -3.578e-01 (cell 1, sample 19)")
+
+
+def test_certify_infinite_scale_is_unsafe(capsys, tmp_path):
+    # inf * 0 at the core's material position reads nan, with no warning
+    trace = tmp_path / "plan.csv"
+    assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
+    lines = trace.read_text().splitlines()
+    column = lines[0].split(",").index("alpha_1")
+    fields = lines[2].split(",")
+    fields[column] = "inf"
+    trace.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+    capsys.readouterr()
+    code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("UNSAFE: worst margin nan (cell 1, sample 1)")
+    assert "boundary scale inf outside the window (alpha_max 1.125, sample 1)" in captured.out
+    assert captured.err == ""
 
 
 def test_malformed_scenario_exit_code(capsys, tmp_path):
@@ -454,6 +473,20 @@ def test_non_finite_gains_exit_code(capsys, tmp_path, gain, value):
     assert code == 2
     assert "error: sim.gains.kp and sim.gains.kd must be finite" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_diverging_simulation_exit_code(capsys, tmp_path):
+    # the first step overflows; the guard reports it, and no warning escapes
+    doc = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    doc["sim"]["gains"] = {"kp": 1.0e308, "kd": 1.0e308}
+    config = tmp_path / "diverging.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    code = main(["simulate", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ("numerical error: simulation diverged at t=0.100: "
+                            "tracking error inf exceeds 5.000\n")
     assert captured.out == ""
 
 

@@ -503,8 +503,7 @@ def non_finite_missions(draw):
         alpha[sample, draw(st.integers(0, team.n_pl - 1))] = value
     elif where == "shift":
         shift[sample, draw(st.integers(0, 2))] = value
-    with np.errstate(invalid="ignore"):   # inf * 0, the core's material position
-        positions = sd.trajectory_positions(team, sd.build_layer_weights(team), alpha, shift)
+    positions = sd.trajectory_positions(team, sd.build_layer_weights(team), alpha, shift)
     if where == "position":
         agent, axis = draw(st.integers(0, team.n_agents - 1)), draw(st.integers(0, 2))
         positions[sample, agent, axis] = value

@@ -135,12 +135,14 @@ def test_spectrum_shapes_and_diagonal():
 
 
 def test_spectrum_singular_raises():
-    # singular when sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3. The last
-    # case has det 9.0e-12 against 1e-12 sigma_1**3 = 2.7e-11: the cutoff
-    # scales with sigma_1, not with the largest entry (1e-12 max|Q|**3 = 1e-12)
+    # singular when (sigma_2 / sigma_1) (sigma_3 / sigma_1) <= 1e-12, that is
+    # sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3. The near case has det 9.0e-12
+    # against 1e-12 sigma_1**3 = 2.7e-11: the cutoff scales with sigma_1, not
+    # with the largest entry (1e-12 max|Q|**3 = 1e-12). The zero matrix's
+    # ratios would be 0/0, and it must still be singular
     near = np.ones((3, 3)) + np.diag([0.0, 3e-6, 3e-6])
     assert np.linalg.det(near) == pytest.approx(9.0e-12, rel=1e-3)
-    for q in (np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 5e-13]), near):
+    for q in (np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 5e-13]), near, np.zeros((3, 3))):
         with pytest.raises(sd.NumericalError, match="singular"):
             sd.pure_deformation_spectrum(q)
     np.testing.assert_allclose(sd.pure_deformation_spectrum(np.diag([1.0, 1.0, 2e-12])),
@@ -204,6 +206,15 @@ def test_closest_pairs_extreme_coordinates_match_pdist(monkeypatch, scale, start
     # that block's first sample is the next anchor
     first_pdist = start if scale > 1.0 else 9
     assert len(calls) == 1 + 16 - first_pdist
+    # the k-d tree path sends an overflowed sample to pdist too, and takes an
+    # underflowed one itself
+    large = drifting_lattice(KDTREE_MIN_AGENTS + 4, 8)
+    large[start - 4:] *= scale
+    calls = _counting_pdist(monkeypatch)
+    dist, pairs = closest_pairs(large)
+    ref_dist, ref_pairs = first_argmin_oracle(large)
+    assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
+    assert len(calls) == (12 - start if scale > 1.0 else 0)
 
 
 def test_non_finite_samples_make_no_pdist_call(monkeypatch):
@@ -370,9 +381,8 @@ def test_certify_fails_closed_outside_window(square_team, square_weights,
     alpha = schedule.alpha.copy()
     alpha[2:, :-1] = value
     bad = dataclasses.replace(schedule, alpha=alpha)
-    with np.errstate(invalid="ignore"):
-        desired = sd.trajectory_positions(square_team, square_weights, alpha, bad.shift)
-        report = sd.certify_configuration(square_team, bad, desired)
+    desired = sd.trajectory_positions(square_team, square_weights, alpha, bad.shift)
+    report = sd.certify_configuration(square_team, bad, desired)
     assert not report.window_ok and not report.verdict
     assert report.window_index == 2
     assert report.alpha_ceiling == sd.alpha_bounds(square_team).alpha_max == 1.125
@@ -385,6 +395,28 @@ def test_certify_fails_closed_outside_window(square_team, square_weights,
     else:  # and a non-finite one reads nan in every cell from that sample on
         assert np.isnan(report.margins[2:]).all() and not report.margins_ok
         assert np.isfinite(report.margins[:2]).all()
+
+
+@pytest.mark.parametrize("entry, where", [("shift s_y", ("shift", 1)),
+                                          ("core scale", ("alpha", -1))],
+                         ids=["shift", "core-scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_certify_fails_closed_on_non_finite_shift_or_core_scale(
+        square_team, square_certification, entry, where, value):
+    # no other gate reads these columns: certified against the clean commanded
+    # stack, the schedule would pass every other gate
+    schedule, desired = square_certification
+    column = getattr(schedule, where[0]).copy()
+    column[5, where[1]] = value
+    bad = dataclasses.replace(schedule, **{where[0]: column})
+    report = sd.certify_configuration(square_team, bad, desired)
+    assert report.margins_ok and report.distance_ok
+    assert not report.window_ok and not report.verdict
+    assert (report.window_index, report.window_entry) == (5, entry)
+    assert report.summary() == (sd.certify_configuration(square_team, schedule, desired)
+                                .summary().replace("SAFE", "UNSAFE")
+                                + f", non-finite {entry} {value:.6g} (sample 5)")
+    assert "boundary scale" not in report.summary()
 
 
 def test_certify_window_edge_is_admissible(square_team, square_weights,

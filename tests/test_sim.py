@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,12 +165,13 @@ def test_closed_loop_calls_pd_step_once_per_step(square_team, square_weights,
     assert len(calls) == 300
 
 
-def test_overflow_on_the_diverging_step_warns_as_each_step_did(square_team, square_weights,
-                                                               square_scenario):
-    # a block runs with overflow warnings off; the steps up to the first one
-    # over the limit are replayed with them on, so an overflow there still warns
-    with (pytest.warns(RuntimeWarning, match="overflow"),
-          pytest.raises(sd.NumericalError, match="diverged at t=0.100: tracking error inf")):
+def test_overflow_on_the_diverging_step_raises_without_a_warning(square_team, square_weights,
+                                                                 square_scenario):
+    # a block runs with overflow warnings off, and the guard reports the
+    # first step over the limit: the error is the run's only signal
+    with (warnings.catch_warnings(), pytest.raises(
+            sd.NumericalError, match="diverged at t=0.100: tracking error inf exceeds 5.000")):
+        warnings.simplefilter("error")
         sd.run_simulation(square_team, square_weights, square_scenario.trajectory,
                           duration=30.0, dt=0.1, bounds=(0.5, 1.1),
                           gains=sd.ControllerGains(kp=1e300, kd=1e300),
