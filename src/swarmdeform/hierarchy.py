@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .team import TeamConfiguration, cell_coordinates, enclosing_cells
+from .team import MAX_VALUE, TeamConfiguration, cell_coordinates, enclosing_cells
 
 ROW_SUM_TOL = 1e-12
 # agents averaged into the nominal position: all of W_p, or the last new set
@@ -135,8 +135,8 @@ def trajectory_positions(team: TeamConfiguration, weights: LayerWeights,
         raise ScenarioError(f"alpha must have length {team.n_pl}")
     if shifts.shape != (alphas.shape[0], 3):
         raise ScenarioError("shift must be an [x, y, z] triple")
-    # a non-finite input reads nan, so inf * 0 at a zero material coordinate cannot warn
-    alphas, shifts = (np.where(np.isfinite(x), x, np.nan) for x in (alphas, shifts))
+    # beyond MAX_VALUE (inf too) reads nan: no inf * 0 warning, and the rest stay below 2**1001
+    alphas, shifts = (np.where(np.abs(x) <= MAX_VALUE, x, np.nan) for x in (alphas, shifts))
     return weights.composite @ (alphas[:, :, None] * team.leader_positions + shifts[:, None, :])
 
 

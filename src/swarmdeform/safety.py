@@ -21,7 +21,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError, SafetyWindowError
 from .qp import Schedule
-from .team import SafetyParameters, TeamConfiguration
+from .team import MAX_VALUE, SafetyParameters, TeamConfiguration
 
 # how far below its bound a deformation margin or a distance may fall and pass
 MARGIN_TOL = 1e-9
@@ -118,11 +118,12 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
 
     The normal is fixed by Q and by Q^T, so the values are 1 and the two of
     the in-plane block B = [[p, q], [r, s]]: h + g and |h - g| with
-    h = hypot(p + s, q - r) / 2 and g = hypot(p - s, q + r) / 2. A non-finite
-    scale reads as nan, so every value of its cell is nan.
+    h = hypot(p + s, q - r) / 2 and g = hypot(p - s, q + r) / 2. A scale
+    beyond MAX_VALUE, inf included, reads as nan, so every value of its cell is nan;
+    the rest stay finite, as block entries are at most 1 / sin(core angle) < 1e6.
     """
     index, b1, b2 = cell_blocks(team)
-    alpha = np.where(np.isfinite(alpha), alpha, np.nan)
+    alpha = np.where(np.abs(alpha) <= MAX_VALUE, alpha, np.nan)
     block = alpha[:, index[:, 0], None, None] * b1 + alpha[:, index[:, 1], None, None] * b2
     p, q, r, s = block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
     h = 0.5 * np.hypot(p + s, q - r)
@@ -359,8 +360,8 @@ class CertificationReport:
     min_distance_pair: tuple[int, int]   # 1-based agent ids
     min_distance_index: int
     alpha_ceiling: float           # upper edge of the safety window (motion-space ball)
-    window_index: int              # first sample with a boundary scale outside
-                                   # (0, ceiling], or a non-finite scale or shift; -1 if none
+    window_index: int              # first sample with a boundary scale outside (0, ceiling],
+                                   # or a scale or shift beyond MAX_VALUE or nan; -1 if none
     window_alpha: float            # that value; nan if none
     window_entry: str              # "boundary scale", "core scale" or "shift s_x" ...; "" if none
 
@@ -383,7 +384,7 @@ class CertificationReport:
             text += (f", boundary scale {self.window_alpha:.6g} outside the window "
                      f"(alpha_max {self.alpha_ceiling:.6g}, sample {self.window_index})")
         elif self.window_entry:
-            text += (f", non-finite {self.window_entry} {self.window_alpha:.6g} "
+            text += (f", {self.window_entry} {self.window_alpha:.6g} out of range "
                      f"(sample {self.window_index})")
         return text
 
@@ -427,11 +428,12 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     # of the window is checked on the schedule itself. A scale must also be
     # positive: scales -a point-reflect a cell, with the same lambda_3 and
     # distances as scales a, but the path there folds it through Q = 0. The
-    # core scale and the shift enter no other gate, so they must be finite.
+    # core scale and the shift enter no other gate, so they must be at most
+    # MAX_VALUE, the range trajectory_positions reads.
     ceiling = alpha_bounds(team).alpha_max
     nb = team.n_pl - 1
     values = np.hstack([schedule.alpha, schedule.shift])
-    outside = ~np.isfinite(values)
+    outside = ~(np.abs(values) <= MAX_VALUE)
     outside[:, :nb] = ~((values[:, :nb] > 0) & (values[:, :nb] <= ceiling))
     window_index, window_alpha, window_entry = -1, math.nan, ""
     if outside.any():

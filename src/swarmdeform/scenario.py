@@ -19,7 +19,7 @@ from .hierarchy import AVERAGING_MODES
 from .qp import SCALING_MODES
 from .safety import alpha_bounds
 from .sim import SIM_MODES, ReferenceTrajectory, make_trajectory
-from .team import (LayerPartition, SafetyParameters, TeamConfiguration,
+from .team import (MAX_COORDINATE, LayerPartition, SafetyParameters, TeamConfiguration,
                    ValidationReport, boundary_reference_magnitude, build_cells,
                    validate_team)
 
@@ -136,17 +136,16 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
     tsec = _section(doc, "team", "", required=True)
     ssec = _section(doc, "safety", "", required=True)
     n = _integer(_require(tsec, "n_agents", "team"), "team.n_agents")
-    layer_specs = _require(tsec, "layers", "team")
-    new_sets = []
-    for spec in layer_specs:
-        ids = _parse_ids(spec, "team.layers id")
-        if len(ids) != len(set(ids)):
-            raise ScenarioError(f"duplicate agent ids in layer spec {spec!r}")
-        new_sets.append(tuple(sorted(ids)))
-    partition = LayerPartition(tuple(new_sets))
+    partition = LayerPartition(tuple(tuple(sorted(_parse_ids(spec, "team.layers id")))
+                                     for spec in _require(tsec, "layers", "team")))
+    listed = len(partition.all_ids())
+    if listed != n:
+        raise ScenarioError(f"invalid partition: the layers list {listed} agents, "
+                            f"team.n_agents is {n}")
 
     pos_map = _section(tsec, "positions", "team", required=True)
-    positions = np.full((n, 3), np.nan)
+    positions = np.zeros((n, 3))
+    given = np.zeros(n, dtype=bool)
     for key, triple in pos_map.items():
         agent = _integer(key, "team.positions key")
         if not 1 <= agent <= n:
@@ -154,22 +153,22 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
         if not isinstance(triple, (list, tuple, np.ndarray)) or len(triple) != 3:
             raise ScenarioError(f"agent {agent}: position must be an [x, y, z] triple")
         positions[agent - 1] = [_real(x, "team.positions coordinate") for x in triple]
-    missing = [i + 1 for i in range(n) if np.isnan(positions[i]).any()]
+        given[agent - 1] = True
+    missing = (np.flatnonzero(~given) + 1).tolist()
     if missing:
         raise ScenarioError(f"agents {missing} have no material position")
+    # checked before any geometry, in one pass; a nan compares False, so it is out of range too
+    out = ~np.all(np.abs(positions) <= MAX_COORDINATE, axis=1)
+    if out.any():
+        agent = int(out.argmax()) + 1
+        raise ScenarioError(f"agent {agent}: material position {positions[agent - 1].tolist()} "
+                            f"must be finite and at most {MAX_COORDINATE:.6g} in magnitude")
 
     delta, epsilon, a_max = (_real(_require(ssec, key, "safety"), f"safety.{key}")
                              for key in ("delta", "epsilon", "a_max"))
     safety = SafetyParameters(delta, epsilon, a_max,
                               boundary_reference_magnitude(positions, partition.n_pl))
-
-    explicit_members = None
-    if tsec.get("cell_members") is not None:
-        explicit_members = {_integer(cid, "team.cell_members key"):
-                            _parse_ids(ids, "team.cell_members id")
-                            for cid, ids in _section(tsec, "cell_members", "team").items()}
-    cells = build_cells(partition, positions, explicit_members)
-    return TeamConfiguration(partition, positions, cells, safety)
+    return TeamConfiguration(partition, positions, build_cells(partition, positions), safety)
 
 
 def _parse_weights(doc: Mapping) -> WeightsSettings:

@@ -19,6 +19,10 @@ from .errors import ScenarioError
 
 # containment slack for the projected barycentric test (dimensionless weights)
 CONTAINMENT_TOL = 1e-9
+# magnitude bounds that keep the geometry finite: the containment solve takes fourth
+# powers of material coordinates, and a scale or shift in range keeps |alpha*a| + |s| <= 2**1001
+MAX_COORDINATE = 2.0 ** 200
+MAX_VALUE = 2.0 ** 800
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,26 @@ class LayerPartition:
     """Disjoint new-agent id sets per layer; layer k exposes the nested union W_k."""
 
     new_sets: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        """Refuse all but a partition of 1..N whose first layer is 1..n_pl, n_pl >= 4."""
+        if not self.new_sets or not all(self.new_sets):
+            raise ScenarioError("invalid partition: it needs a layer, and no layer may be empty")
+        ids = sorted(agent for layer in self.new_sets for agent in layer)
+        repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+        if repeated:
+            raise ScenarioError(f"invalid partition: duplicate agent ids {repeated}")
+        missing = sorted(set(range(1, len(ids) + 1)).difference(ids))
+        if missing:
+            raise ScenarioError(f"invalid partition: agent ids must be 1..{len(ids)}, "
+                                f"missing {missing}")
+        n_pl = len(self.new_sets[0])
+        if n_pl < 4:
+            raise ScenarioError("invalid partition: the first layer needs at least "
+                                "3 boundary leaders plus the core")
+        if max(self.new_sets[0]) != n_pl:
+            raise ScenarioError(f"invalid partition: the first layer must be ids 1..{n_pl} "
+                                "(core id == n_pl)")
 
     @property
     def depth(self) -> int:
@@ -158,27 +182,21 @@ def _fan_vertices(n_pl: int) -> list[tuple[int, int, int]]:
     return [(n_pl, j, j % n_b + 1) for j in range(1, n_b + 1)]
 
 
-def build_cells(partition: LayerPartition, positions: np.ndarray,
-                explicit_members: dict[int, list[int]] | None = None) -> tuple[TriangleCell, ...]:
+def build_cells(partition: LayerPartition, positions: np.ndarray) -> tuple[TriangleCell, ...]:
     """Fan-triangulate the leading polygon and assign agents to enclosing cells.
 
     Membership is inclusive: an agent sitting on a shared edge or vertex
     belongs to every cell containing it, so each cell's p_min accounts for
-    all agents that can collide inside it.
+    all agents that can collide inside it. A cell's own vertices get the
+    weights e_0, e_1, e_2 exactly, so every cell has at least three members.
     """
     fan = _fan_vertices(partition.n_pl)
-    members_of = explicit_members
-    if members_of is None:
-        inside = _contained(cell_coordinates(positions[np.array(fan) - 1], positions))
-        members_of = {c + 1: (np.flatnonzero(col) + 1).tolist()
-                      for c, col in enumerate(inside.T)}
+    inside = _contained(cell_coordinates(positions[np.array(fan) - 1], positions))
     cells = []
-    for cell_id, verts in enumerate(fan, start=1):
-        members = tuple(sorted(members_of.get(cell_id, [])))
-        if len(members) < 2:
-            raise ScenarioError(f"cell {cell_id} has fewer than 2 members")
-        p_min = float(pdist(positions[[m - 1 for m in members]]).min())
-        cells.append(TriangleCell(cell_id, verts, members, p_min))
+    for cell_id, (verts, col) in enumerate(zip(fan, inside.T), start=1):
+        members = np.flatnonzero(col)
+        cells.append(TriangleCell(cell_id, verts, tuple((members + 1).tolist()),
+                                  float(pdist(positions[members]).min())))
     return tuple(cells)
 
 
@@ -206,38 +224,12 @@ def validate_team(team: TeamConfiguration) -> ValidationReport:
     """Check structural invariants; violations are fatal, warnings advisory."""
     violations: list[str] = []
     warnings: list[str] = []
-    part = team.partition
     n = team.n_agents
+    n_pl = team.n_pl
 
-    seen: set[int] = set()
-    for k, layer in enumerate(part.new_sets, start=1):
-        if not layer:
-            violations.append(f"layer {k} is empty")
-        overlap = seen.intersection(layer)
-        if overlap:
-            violations.append(f"layer {k} re-lists agents {sorted(overlap)}")
-        seen.update(layer)
-    if seen != set(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - seen)
-        extra = sorted(seen - set(range(1, n + 1)))
-        if missing:
-            violations.append(f"agents {missing} missing from the partition")
-        if extra:
-            violations.append(f"partition lists unknown agents {extra}")
-
-    n_pl = part.n_pl
-    if n_pl < 4:
-        violations.append("first layer needs at least 3 boundary leaders plus the core")
-    if set(part.new_sets[0]) != set(range(1, n_pl + 1)):
-        violations.append(f"first layer must be ids 1..{n_pl} (core id == n_pl)")
-
-    if not np.all(np.isfinite(team.positions)):
-        violations.append("non-finite material positions")
-        return ValidationReport(violations, warnings)
-
-    if n_pl <= n and not np.all(team.positions[n_pl - 1] == 0.0):
+    if not np.all(team.positions[n_pl - 1] == 0.0):
         violations.append("core must be at origin")
-    for b in range(1, min(n_pl, n + 1)):
+    for b in range(1, n_pl):
         if np.all(team.positions[b - 1] == 0.0):
             violations.append(f"boundary leader {b} has zero material position")
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -265,6 +267,68 @@ def test_certify_infinite_scale_is_unsafe(capsys, tmp_path):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("column, expected", [
+    ("alpha_1", "boundary scale 1e+308 outside the window (alpha_max 1.125, sample 1)"),
+    ("s_x", "shift s_x 1e+308 out of range (sample 1)"),
+], ids=["boundary-scale", "shift"])
+def test_certify_huge_schedule_value_is_unsafe(capsys, tmp_path, column, expected):
+    # a finite value beyond team.MAX_VALUE reads nan like inf: alpha * a would
+    # overflow, so it must read UNSAFE with no warning in either warning setting
+    trace = tmp_path / "plan.csv"
+    assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
+    lines = trace.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[lines[0].split(",").index(column)] = "1e308"
+    trace.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("UNSAFE: ")
+    assert expected in captured.out
+    assert captured.err == ""
+    assert caught == []
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("team", "layers"), [], "invalid partition: it needs a layer, and no layer may be empty"),
+    (("team", "layers"), [""], "invalid partition: it needs a layer, and no layer may be empty"),
+    (("team", "layers"), ["1"], "invalid partition: the first layer needs at least "
+                                "3 boundary leaders plus the core"),
+    (("team", "layers"), ["1..2", "3..13"], "invalid partition: the first layer needs "
+                                            "at least 3 boundary leaders plus the core"),
+    (("team", "layers"), ["1..5", "5..9", "10..13"],
+     "invalid partition: duplicate agent ids [5]"),
+    (("team", "layers"), ["1..5", "6..8", "10..13"],
+     "invalid partition: agent ids must be 1..12, missing [9]"),
+    (("team", "n_agents"), 14, "invalid partition: the layers list 13 agents, "
+                               "team.n_agents is 14"),
+    (("team", "positions", 2), [float("inf"), 0.0, 0.0], "agent 2: material position"),
+    (("team", "positions", 7), [0.0, 1e160, 0.0], "agent 7: material position"),
+], ids=["no-layer", "empty-layer", "one-agent", "two-leaders", "overlap", "gap",
+        "n-agents", "inf-coordinate", "huge-coordinate"])
+def test_malformed_team_exit_code(capsys, tmp_path, path, value, message):
+    # the team is checked before any geometry: exit 1 is the UNSAFE verdict,
+    # so a bad partition or coordinate must exit 2, and warn in no setting
+    doc = node = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["plan", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert caught == []
+
+
 def test_malformed_scenario_exit_code(capsys, tmp_path):
     config = tmp_path / "broken.yaml"
     config.write_text("schema: swarm-scenario/1\nteam: {n_agents: 13\n")
@@ -357,16 +421,14 @@ def test_malformed_scenario_value_exit_code(capsys, tmp_path, path, value):
     (("team", "n_agents"), 13.9, "team.n_agents"),
     (("team", "positions", 13.5), [0.5, 0.25, 0.0], "team.positions key"),
     (("team", "layers", 0), [True, "2..5"], "team.layers id"),
-    (("team", "cell_members"), {1.5: "1,2,5"}, "team.cell_members key"),
-    (("team", "cell_members"), {1: [True, 2, 5]}, "team.cell_members id"),
     (("weights",), {"mode": "explicit", "matrices": [{"layer": 2.0, "rows": {}}]},
      "weights.matrices.layer"),
     (("weights",), {"mode": "explicit", "matrices": [{"layer": 2, "rows": {6.0: {5: 1.0}}}]},
      "weights.matrices.rows agent id"),
     (("weights",), {"mode": "explicit", "matrices": [{"layer": 2, "rows": {6: {True: 1.0}}}]},
      "weights.matrices.rows leader id"),
-], ids=["n_agents", "position-key", "layer-bool", "cell-key", "cell-member-bool",
-        "weight-layer", "weight-agent", "weight-leader"])
+], ids=["n_agents", "position-key", "layer-bool", "weight-layer", "weight-agent",
+        "weight-leader"])
 def test_fractional_or_boolean_id_exit_code(capsys, tmp_path, path, value, field):
     # int() would truncate the fraction or read the bool as agent 1 and plan on
     doc = node = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
@@ -441,9 +503,7 @@ def test_unwritable_out_exit_code(capsys, tmp_path, command, target):
     (("sim", "gains"), 7),
     (("qp", "alpha_bounds"), [0.5, 1.0]),
     (("team", "positions"), [1, 2]),
-    (("team", "cell_members"), [1]),
-], ids=["qp", "sim", "weights", "trajectory", "gains", "alpha-bounds", "positions",
-        "cell-members"])
+], ids=["qp", "sim", "weights", "trajectory", "gains", "alpha-bounds", "positions"])
 def test_wrong_type_scenario_section_exit_code(capsys, tmp_path, path, value):
     # a section that is not a mapping is a scenario error, not a traceback
     doc = node = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())

@@ -10,10 +10,12 @@ checked against its one-row calls and a bounded least-squares oracle. The
 stacked closest-pair sweep is checked against pdist and a first argmin, the
 certifier's distance verdict on square13 against injected faults, its
 spectra and verdict on generated missions against SVD, pdist and the window,
-and its verdict on those missions with one nan or inf injected.
+and its verdict on those missions with one nan or inf injected. A generated
+team with one material coordinate out of range is refused at load.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +32,8 @@ from swarmdeform.qp import _box_active_set
 from swarmdeform.safety import KDTREE_MIN_AGENTS, closest_pairs
 from swarmdeform.scenario import planning_bounds
 from swarmdeform.sim import pd_step
-from swarmdeform.team import (CONTAINMENT_TOL, cell_coordinates, enclosing_cells,
-                              projected_weights)
+from swarmdeform.team import (CONTAINMENT_TOL, MAX_COORDINATE, cell_coordinates,
+                              enclosing_cells, projected_weights)
 
 unit = st.floats(0.0, 1.0)
 
@@ -522,6 +524,33 @@ def test_non_finite_input_is_never_safe(mission, kind):
     except sd.SwarmError:
         return
     assert not report.verdict
+
+
+def scenario_doc(team):
+    """A scenario document holding a generated team."""
+    safety = team.safety
+    return {"schema": "swarm-scenario/1",
+            "team": {"n_agents": team.n_agents,
+                     "layers": [list(layer) for layer in team.partition.new_sets],
+                     "positions": {agent: team.positions[agent - 1].tolist()
+                                   for agent in range(1, team.n_agents + 1)}},
+            "safety": {"delta": safety.delta, "epsilon": safety.epsilon,
+                       "a_max": safety.a_max},
+            "trajectory": {"kind": "helix"}}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fan_teams(), st.sampled_from([np.nan, np.inf, -np.inf, 2.0 * MAX_COORDINATE,
+                                     -2.0 * MAX_COORDINATE]), st.data())
+def test_out_of_range_material_coordinate_is_refused(fan, value, data):
+    team, _ = fan
+    agent = data.draw(st.integers(1, team.n_agents))
+    doc = scenario_doc(team)
+    doc["team"]["positions"][agent][data.draw(st.integers(0, 2))] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(sd.ScenarioError, match=rf"^agent {agent}: material position "):
+            sd.load_scenario(doc)
 
 
 def per_step_loop(desired, r, gains, dt, limit, t_grid):

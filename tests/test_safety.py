@@ -81,9 +81,10 @@ def test_cell_basis_partitions_identity(square_team):
 
 
 def test_cell_basis_degenerate_raises():
-    positions = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    partition = sd.LayerPartition(((1, 2, 3),))
-    cell = sd.TriangleCell(1, (3, 1, 2), (1, 2, 3), 1.0)
+    positions = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0]])
+    partition = sd.LayerPartition(((1, 2, 3, 4),))
+    cell = sd.TriangleCell(1, (4, 1, 2), (1, 2, 4), 1.0)
     team = sd.TeamConfiguration(partition, positions, (cell,),
                                 sd.SafetyParameters(0.1, 0.4, 25.0, 2.0))
     with pytest.raises(sd.NumericalError, match="degenerate"):
@@ -104,12 +105,13 @@ def test_skewed_cell_dips_below_smaller_alpha():
     # 45-degree cell with unequal vertex scales: the smallest singular value
     # drops below min(alpha), so certification must not shortcut to the box
     r = np.sqrt(0.5)
-    positions = np.array([[1.0, 0.0, 0.0], [r, r, 0.0], [0.0, 0.0, 0.0]])
-    partition = sd.LayerPartition(((1, 2, 3),))
-    cell = sd.TriangleCell(1, (3, 1, 2), (1, 2, 3), 1.0)
+    positions = np.array([[1.0, 0.0, 0.0], [r, r, 0.0], [0.0, -1.0, 0.0],
+                          [0.0, 0.0, 0.0]])
+    partition = sd.LayerPartition(((1, 2, 3, 4),))
+    cell = sd.TriangleCell(1, (4, 1, 2), (1, 2, 4), 1.0)
     team = sd.TeamConfiguration(partition, positions, (cell,),
                                 sd.SafetyParameters(0.1, 0.4, 25.0, 1.0))
-    q = cell_jacobian(team, cell, np.array([1.0, 0.5, 0.0]))
+    q = cell_jacobian(team, cell, np.array([1.0, 0.5, 1.0, 0.0]))
     vals = sd.pure_deformation_spectrum(q)
     oracle = np.linalg.svd(q, compute_uv=False)
     assert np.max(np.abs(vals - oracle)) < 1e-12
@@ -400,11 +402,12 @@ def test_certify_fails_closed_outside_window(square_team, square_weights,
 @pytest.mark.parametrize("entry, where", [("shift s_y", ("shift", 1)),
                                           ("core scale", ("alpha", -1))],
                          ids=["shift", "core-scale"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
 def test_certify_fails_closed_on_non_finite_shift_or_core_scale(
         square_team, square_certification, entry, where, value):
     # no other gate reads these columns: certified against the clean commanded
-    # stack, the schedule would pass every other gate
+    # stack, the schedule would pass every other gate; a finite value beyond
+    # MAX_VALUE is out of range too, since trajectory_positions reads it as nan
     schedule, desired = square_certification
     column = getattr(schedule, where[0]).copy()
     column[5, where[1]] = value
@@ -415,7 +418,7 @@ def test_certify_fails_closed_on_non_finite_shift_or_core_scale(
     assert (report.window_index, report.window_entry) == (5, entry)
     assert report.summary() == (sd.certify_configuration(square_team, schedule, desired)
                                 .summary().replace("SAFE", "UNSAFE")
-                                + f", non-finite {entry} {value:.6g} (sample 5)")
+                                + f", {entry} {value:.6g} out of range (sample 5)")
     assert "boundary scale" not in report.summary()
 
 

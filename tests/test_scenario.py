@@ -120,20 +120,6 @@ def test_duplicate_layer_ids_rejected(square_doc):
         sd.load_scenario(square_doc)
 
 
-def test_explicit_cell_members_respected(square_doc):
-    square_doc["team"]["cell_members"] = {
-        1: "1,2,5,6,10,11",
-        2: "2,3,5,7",
-        3: "3,4,5,8,12",
-        4: "1,4,5,9,13",
-    }
-    scenario = sd.load_scenario(square_doc)
-    assert scenario.team.cells[0].members == (1, 2, 5, 6, 10, 11)
-    assert scenario.team.cells[1].members == (2, 3, 5, 7)
-    # without 11 the closest pair in cell 2 becomes core vs leader 7
-    assert scenario.team.cells[1].p_min == pytest.approx(np.sqrt(4.5), abs=1e-15)
-
-
 def test_bad_scaling_rejected(square_doc):
     square_doc["qp"]["scaling"] = "exact"
     with pytest.raises(sd.ScenarioError, match="qp.scaling"):

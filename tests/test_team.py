@@ -66,12 +66,6 @@ def test_helix_cells_cover_all_agents(helix_team):
     assert covered == set(range(1, 68))
 
 
-def test_explicit_members_too_small_raises(square_team):
-    with pytest.raises(sd.ScenarioError, match="fewer than 2"):
-        sd.build_cells(square_team.partition, square_team.positions,
-                       explicit_members={1: [5]})
-
-
 def test_enclosing_triangle_prefers_lowest_cell_id(square_team):
     # the first point is on the shared edge of cells 1 and 2
     points = np.array([[0.0, 2.0, 0.0], [-2.0, -0.5, 0.0], [4.0, 4.0, 0.0]])
@@ -108,15 +102,9 @@ def test_validate_rejects_core_off_origin(square_team):
 
 
 def test_validate_rejects_small_first_layer():
-    positions = np.zeros((3, 3))
-    positions[0] = [1.0, 0.0, 0.0]
-    positions[1] = [0.0, 1.0, 0.0]
-    partition = sd.LayerPartition(((1, 2, 3),))
-    safety = sd.SafetyParameters(0.05, 0.15, 2.0, 1.0)
-    team = sd.TeamConfiguration(partition, positions,
-                                cells=(), safety=safety)
-    report = sd.validate_team(team)
-    assert any("at least 3 boundary leaders" in v for v in report.violations)
+    # the partition type refuses the team before any geometry is built
+    with pytest.raises(sd.ScenarioError, match="at least 3 boundary leaders"):
+        sd.LayerPartition(((1, 2, 3),))
 
 
 def test_validate_detects_agent_outside_polygon(square_team):
