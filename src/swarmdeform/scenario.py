@@ -86,24 +86,24 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
-def _parse_ids(value, what: str = "agent id") -> list[int]:
-    """Accept 7, "7", "8..13", "1,3,5..9", or lists of those."""
+def _parse_ids(value, n: int, what: str = "agent id") -> list[int]:
+    """Accept 7, "7", "8..13", "1,3,5..9", or lists of those; ids checked in 1..n first."""
     if isinstance(value, (list, tuple)):
-        return [agent for item in value for agent in _parse_ids(item, what)]
+        return [agent for item in value for agent in _parse_ids(item, n, what)]
     if not isinstance(value, str):
-        return [_integer(value, what)]
+        value = str(_integer(value, what))
     out = []
     for chunk in value.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if ".." in chunk:
-            lo, hi = (_integer(end, what) for end in chunk.split(".."))
-            if hi < lo:
-                raise ScenarioError(f"empty id range '{chunk}'")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(_integer(chunk, what))
+        lo, hi = (_integer(end, what) for end in
+                  (chunk.split("..") if ".." in chunk else (chunk, chunk)))
+        if not (1 <= lo <= n and 1 <= hi <= n):
+            raise ScenarioError(f"{what} '{chunk}' reaches outside 1..{n}")
+        if hi < lo:
+            raise ScenarioError(f"empty id range '{chunk}'")
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -136,7 +136,7 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
     tsec = _section(doc, "team", "", required=True)
     ssec = _section(doc, "safety", "", required=True)
     n = _integer(_require(tsec, "n_agents", "team"), "team.n_agents")
-    partition = LayerPartition(tuple(tuple(sorted(_parse_ids(spec, "team.layers id")))
+    partition = LayerPartition(tuple(tuple(sorted(_parse_ids(spec, n, "team.layers id")))
                                      for spec in _require(tsec, "layers", "team")))
     listed = len(partition.all_ids())
     if listed != n:
@@ -163,6 +163,13 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
         agent = int(out.argmax()) + 1
         raise ScenarioError(f"agent {agent}: material position {positions[agent - 1].tolist()} "
                             f"must be finite and at most {MAX_COORDINATE:.6g} in magnitude")
+    n_pl = partition.n_pl
+    if np.any(positions[n_pl - 1] != 0.0):
+        raise ScenarioError("invalid team: core must be at origin")
+    zero = np.flatnonzero(~positions[: n_pl - 1].any(axis=1))
+    if zero.size:
+        raise ScenarioError(f"invalid team: boundary leader {zero[0] + 1} "
+                            "has zero material position")
 
     delta, epsilon, a_max = (_real(_require(ssec, key, "safety"), f"safety.{key}")
                              for key in ("delta", "epsilon", "a_max"))

@@ -4,8 +4,9 @@ Material positions are expressed relative to the core agent, which sits at the
 origin of the material frame. The first layer holds the boundary leaders plus
 the core (core id == n_pl by convention); deeper layers add interior agents.
 The region spanned by the boundary leaders is fan-triangulated around the core
-into n_pl - 1 cells, and every agent is assigned to the cell(s) enclosing its
-material position under a projected containment test.
+into n_pl - 1 cells. One projected containment solve gives every agent the
+cells enclosing its material position and one home cell: the one it lies
+deepest in.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class TriangleCell:
     vertices: tuple[int, int, int]  # (core, boundary_a, boundary_b)
     members: tuple[int, ...]        # agents enclosed by the cell (vertices included)
     p_min: float                    # min pairwise material separation among members
+    home: tuple[int, ...]           # members whose home cell this is
+    home_weights: np.ndarray        # (len(home), 3): their unclipped barycentric rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +131,15 @@ class TeamConfiguration:
         """Positions of every cell's (core, a, b) vertices, shape (n_cells, 3, 3)."""
         ids = np.array([cell.vertices for cell in self.cells], dtype=int).reshape(-1, 3)
         return self.positions[ids - 1]
+
+    @property
+    def homes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every agent with a home cell: ids (M,), that cell's vertex ids (M, 3)
+        and the unclipped barycentric rows (M, 3), cell by cell."""
+        sizes = [len(cell.home) for cell in self.cells]
+        return (np.concatenate([cell.home for cell in self.cells]).astype(int),
+                np.repeat(np.array([cell.vertices for cell in self.cells]), sizes, axis=0),
+                np.concatenate([cell.home_weights for cell in self.cells]))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,37 +178,32 @@ def cell_coordinates(vertices: np.ndarray, points) -> np.ndarray:
     return projected_weights(vertices[:, 0], vertices[:, 1], vertices[:, 2], points)
 
 
-def _contained(weights: np.ndarray) -> np.ndarray:
-    """Which points of `cell_coordinates` lie in which cells, shape (..., n_cells)."""
-    return np.all(weights >= -CONTAINMENT_TOL, axis=-1)
-
-
-def enclosing_cells(weights: np.ndarray) -> np.ndarray:
-    """Index of the lowest-id cell holding each point of `cell_coordinates`, else -1."""
-    inside = _contained(weights)
-    return np.where(inside.any(axis=-1), inside.argmax(axis=-1), -1)
-
-
 def _fan_vertices(n_pl: int) -> list[tuple[int, int, int]]:
     n_b = n_pl - 1
     return [(n_pl, j, j % n_b + 1) for j in range(1, n_b + 1)]
 
 
 def build_cells(partition: LayerPartition, positions: np.ndarray) -> tuple[TriangleCell, ...]:
-    """Fan-triangulate the leading polygon and assign agents to enclosing cells.
+    """Fan-triangulate the leading polygon and place every agent, in one solve.
 
     Membership is inclusive: an agent sitting on a shared edge or vertex
     belongs to every cell containing it, so each cell's p_min accounts for
-    all agents that can collide inside it. A cell's own vertices get the
+    all agents that can collide inside it. Its home is the one it lies deepest
+    in (lowest id on ties): a lower-id cell may hold it only within tolerance,
+    and clipping that row would move it. A cell's own vertices get the
     weights e_0, e_1, e_2 exactly, so every cell has at least three members.
     """
     fan = _fan_vertices(partition.n_pl)
-    inside = _contained(cell_coordinates(positions[np.array(fan) - 1], positions))
+    weights = cell_coordinates(positions[np.array(fan) - 1], positions)
+    depth = weights.min(axis=-1)
+    home = np.where(depth.max(axis=-1) >= -CONTAINMENT_TOL, depth.argmax(axis=-1), -1)
     cells = []
-    for cell_id, (verts, col) in enumerate(zip(fan, inside.T), start=1):
-        members = np.flatnonzero(col)
-        cells.append(TriangleCell(cell_id, verts, tuple((members + 1).tolist()),
-                                  float(pdist(positions[members]).min())))
+    for c, verts in enumerate(fan):
+        members = np.flatnonzero(depth[:, c] >= -CONTAINMENT_TOL)
+        homed = np.flatnonzero(home == c)
+        cells.append(TriangleCell(c + 1, verts, tuple((members + 1).tolist()),
+                                  float(pdist(positions[members]).min()),
+                                  tuple((homed + 1).tolist()), weights[homed, c]))
     return tuple(cells)
 
 
@@ -224,26 +231,13 @@ def validate_team(team: TeamConfiguration) -> ValidationReport:
     """Check structural invariants; violations are fatal, warnings advisory."""
     violations: list[str] = []
     warnings: list[str] = []
-    n = team.n_agents
     n_pl = team.n_pl
 
-    if not np.all(team.positions[n_pl - 1] == 0.0):
-        violations.append("core must be at origin")
-    for b in range(1, n_pl):
-        if np.all(team.positions[b - 1] == 0.0):
-            violations.append(f"boundary leader {b} has zero material position")
-
-    if violations:
-        return ValidationReport(violations, warnings)
-
-    # cell coverage and separations
-    covered: set[int] = set()
     for cell in team.cells:
-        covered.update(cell.members)
         if cell.p_min <= 0.0:
             violations.append(f"coincident agents in cell {cell.cell_id}")
-    outside = sorted(set(range(1, n + 1)) - covered)
-    for agent in outside:
+    agents, support, rows = team.homes
+    for agent in np.setdiff1d(np.arange(1, team.n_agents + 1), agents).tolist():
         violations.append(f"agent {agent} lies outside the leading polygon")
 
     mags = np.linalg.norm(team.positions[: n_pl - 1], axis=1)
@@ -253,16 +247,12 @@ def validate_team(team: TeamConfiguration) -> ValidationReport:
             f"{100.0 * (mags.max() - mags.min()) / mags.min():.1f}% "
             "(reference magnitude a0 uses the maximum)")
 
-    # agents off their cell plane break the identity deformation (weights only
-    # reproduce the projected point)
-    verts = team.cell_vertices
-    weights = cell_coordinates(verts, team.positions)
-    index = enclosing_cells(weights)
-    agents = np.flatnonzero(index >= 0)
-    recon = np.einsum("ij,ijk->ik", weights[agents, index[agents]], verts[index[agents]])
-    pos = team.positions[agents]
+    # agents off their home cell's plane break the identity deformation (weights
+    # only reproduce the projected point)
+    recon = np.einsum("ij,ijk->ik", rows, team.positions[support - 1])
+    pos = team.positions[agents - 1]
     off = np.linalg.norm(recon - pos, axis=1) > 1e-9 * (1.0 + np.linalg.norm(pos, axis=1))
-    off_plane = (agents[off] + 1).tolist()
+    off_plane = sorted(agents[off].tolist())
     if off_plane:
         warnings.append(
             f"agents {off_plane} sit off their cell plane; the hierarchy only "

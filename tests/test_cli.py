@@ -307,11 +307,18 @@ def test_certify_huge_schedule_value_is_unsafe(capsys, tmp_path, column, expecte
                                "team.n_agents is 14"),
     (("team", "positions", 2), [float("inf"), 0.0, 0.0], "agent 2: material position"),
     (("team", "positions", 7), [0.0, 1e160, 0.0], "agent 7: material position"),
+    (("team", "layers", 2), "10..1000000000",
+     "team.layers id '10..1000000000' reaches outside 1..13"),
+    (("team", "positions", 1), [0.0, 0.0, 0.0],
+     "invalid team: boundary leader 1 has zero material position"),
+    (("team", "positions", 7), [-1.5, -1.5, 0.0], "invalid team: coincident agents in cell 3"),
 ], ids=["no-layer", "empty-layer", "one-agent", "two-leaders", "overlap", "gap",
-        "n-agents", "inf-coordinate", "huge-coordinate"])
+        "n-agents", "inf-coordinate", "huge-coordinate", "huge-range", "zero-leader",
+        "coincident"])
 def test_malformed_team_exit_code(capsys, tmp_path, path, value, message):
-    # the team is checked before any geometry: exit 1 is the UNSAFE verdict,
-    # so a bad partition or coordinate must exit 2, and warn in no setting
+    # the team is checked before any geometry, its cells after: exit 1 is the
+    # UNSAFE verdict, so a bad partition, coordinate or cell must exit 2, and
+    # warn in no setting
     doc = node = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
     for key in path[:-1]:
         node = node[key]

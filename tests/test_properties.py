@@ -4,14 +4,16 @@ Each team is a ring of 4-9 boundary leaders around the core (angles jittered
 by up to 30 % of their spacing, so the fan stays convex), rotated out of the
 xy-plane, plus interior agents drawn as convex combinations of one cell's
 vertices and split over up to two deeper layers. The broadcast cell
-coordinates are checked against per-point scalar calls, and the composite
-map against its defining properties. The stacked box active-set solve is
-checked against its one-row calls and a bounded least-squares oracle. The
-stacked closest-pair sweep is checked against pdist and a first argmin, the
-certifier's distance verdict on square13 against injected faults, its
-spectra and verdict on generated missions against SVD, pdist and the window,
-and its verdict on those missions with one nan or inf injected. A generated
-team with one material coordinate out of range is refused at load.
+coordinates are checked against per-point scalar calls, memberships and home
+cells against the scalar containment rule, and the composite map against its
+defining properties and, bit for bit, a layer-by-layer composition. The
+stacked box active-set solve is checked against its one-row calls and a
+bounded least-squares oracle. The stacked closest-pair sweep is checked
+against pdist and a first argmin, the certifier's distance verdict on
+square13 against injected faults, its spectra and verdict on generated
+missions against SVD, pdist and the window, and its verdict on those missions
+with one nan or inf injected. A generated team with one material coordinate
+out of range is refused at load.
 """
 
 import dataclasses
@@ -25,15 +27,17 @@ from scipy.optimize import lsq_linear
 from scipy.spatial.distance import pdist
 
 import swarmdeform as sd
-from conftest import cell_jacobian, drifting_lattice, first_argmin_oracle, sparse_lattice
+from conftest import (SCENARIO_DIR, cell_jacobian, drifting_lattice, first_argmin_oracle,
+                      sparse_lattice)
 from swarmdeform import sim
-from swarmdeform.hierarchy import ROW_SUM_TOL
+from swarmdeform import team as team_module
+from swarmdeform.hierarchy import ROW_SUM_TOL, _clip_rows
 from swarmdeform.qp import _box_active_set
 from swarmdeform.safety import KDTREE_MIN_AGENTS, closest_pairs
 from swarmdeform.scenario import planning_bounds
 from swarmdeform.sim import pd_step
 from swarmdeform.team import (CONTAINMENT_TOL, MAX_COORDINATE, cell_coordinates,
-                              enclosing_cells, projected_weights)
+                              projected_weights)
 
 unit = st.floats(0.0, 1.0)
 
@@ -100,17 +104,60 @@ def test_broadcast_weights_match_scalar_calls(case):
     assert np.max(np.abs(batch - reference)) <= 1e-15 * max(1.0, np.abs(reference).max())
 
 
+def layered_composite(team):
+    """The composite built the long way, layer by layer: each new agent's clipped
+    row over the cell it lies deepest in, composed over the rows of C so far."""
+    composite = np.eye(team.n_agents, team.n_pl)
+    vertices = np.array([cell.vertices for cell in team.cells])
+    for new in team.partition.new_sets[1:]:
+        new = np.array(sorted(new))
+        weights = cell_coordinates(team.cell_vertices, team.positions[new - 1])
+        index = weights.min(axis=-1).argmax(axis=-1)
+        rows = _clip_rows(weights[np.arange(new.size), index])
+        composite[new - 1] = (rows[:, :, None] * composite[vertices[index] - 1]).sum(axis=1)
+    return composite
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(fan_teams())
-def test_memberships_and_enclosing_cells_match_scalar_routine(case):
+@example(EDGE_CLIP)
+@example(NEAR_CORE)
+def test_memberships_and_home_cells_match_scalar_routine(case):
     team, _ = case
-    inside = np.all(scalar_weights(team) >= -CONTAINMENT_TOL, axis=-1)
+    weights = scalar_weights(team)
+    inside = np.all(weights >= -CONTAINMENT_TOL, axis=-1)
     for c, cell in enumerate(team.cells):
         assert cell.members == tuple(i + 1 for i in range(team.n_agents) if inside[i, c])
-    first = [next((c for c in range(len(team.cells)) if inside[i, c]), -1)
-             for i in range(team.n_agents)]
-    weights = cell_coordinates(team.cell_vertices, team.positions)
-    assert enclosing_cells(weights).tolist() == first
+    # the deepest containing cell: the largest smallest weight, the lowest id on ties
+    deepest = [max((c for c in range(len(team.cells)) if inside[i, c]),
+                   key=lambda c: (weights[i, c].min(), -c)) + 1 for i in range(team.n_agents)]
+    home = {agent: cell.cell_id for cell in team.cells for agent in cell.home}
+    assert [home[agent] for agent in range(1, team.n_agents + 1)] == deepest
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fan_teams())
+@example(EDGE_CLIP)
+@example(NEAR_CORE)
+def test_composite_equals_layered_composition(case):
+    team, _ = case
+    composite = sd.build_layer_weights(team).composite
+    assert composite.tobytes() == layered_composite(team).tobytes()
+
+
+@pytest.mark.parametrize("name", ["square13", "helix67"])
+def test_one_containment_solve_per_team(monkeypatch, name):
+    calls = []
+    solve = team_module.projected_weights
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(team_module, "projected_weights", counted)
+    sc = sd.load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    sd.build_layer_weights(sc.team, sc.weights)
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

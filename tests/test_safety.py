@@ -84,7 +84,7 @@ def test_cell_basis_degenerate_raises():
     positions = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                           [0.0, 0.0, 0.0]])
     partition = sd.LayerPartition(((1, 2, 3, 4),))
-    cell = sd.TriangleCell(1, (4, 1, 2), (1, 2, 4), 1.0)
+    cell = sd.TriangleCell(1, (4, 1, 2), (1, 2, 4), 1.0, (), np.zeros((0, 3)))
     team = sd.TeamConfiguration(partition, positions, (cell,),
                                 sd.SafetyParameters(0.1, 0.4, 25.0, 2.0))
     with pytest.raises(sd.NumericalError, match="degenerate"):
@@ -108,7 +108,7 @@ def test_skewed_cell_dips_below_smaller_alpha():
     positions = np.array([[1.0, 0.0, 0.0], [r, r, 0.0], [0.0, -1.0, 0.0],
                           [0.0, 0.0, 0.0]])
     partition = sd.LayerPartition(((1, 2, 3, 4),))
-    cell = sd.TriangleCell(1, (4, 1, 2), (1, 2, 4), 1.0)
+    cell = sd.TriangleCell(1, (4, 1, 2), (1, 2, 4), 1.0, (), np.zeros((0, 3)))
     team = sd.TeamConfiguration(partition, positions, (cell,),
                                 sd.SafetyParameters(0.1, 0.4, 25.0, 1.0))
     q = cell_jacobian(team, cell, np.array([1.0, 0.5, 1.0, 0.0]))

@@ -73,15 +73,19 @@ def test_rejects_missing_position(square_doc):
 
 
 def test_parse_ids_forms():
-    assert _parse_ids(7) == [7]
-    assert _parse_ids("8..13") == [8, 9, 10, 11, 12, 13]
-    assert _parse_ids("1,3,5..9") == [1, 3, 5, 6, 7, 8, 9]
-    assert _parse_ids([1, "2..3", "6"]) == [1, 2, 3, 6]
+    assert _parse_ids(7, 13) == [7]
+    assert _parse_ids("8..13", 13) == [8, 9, 10, 11, 12, 13]
+    assert _parse_ids("1,3,5..9", 13) == [1, 3, 5, 6, 7, 8, 9]
+    assert _parse_ids([1, "2..3", "6"], 13) == [1, 2, 3, 6]
     with pytest.raises(sd.ScenarioError, match="empty id range"):
-        _parse_ids("9..4")
+        _parse_ids("9..4", 13)
     for value in (True, 7.0, [1, 2.5]):
         with pytest.raises(sd.ScenarioError, match="agent id must be an integer"):
-            _parse_ids(value)
+            _parse_ids(value, 13)
+    # bounded before expansion: the last range would need about 100 GiB
+    for value in (0, 14, "0..3", "13..14", "10..1000000000"):
+        with pytest.raises(sd.ScenarioError, match=r"reaches outside 1\.\.13"):
+            _parse_ids(value, 13)
 
 
 def test_integer_fields_accept_numeral_strings(square_scenario, square_doc):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import yaml
 
 import swarmdeform as sd
-from swarmdeform.team import (boundary_reference_magnitude, cell_coordinates,
-                              enclosing_cells, projected_weights)
+from swarmdeform import scenario
+from swarmdeform.team import boundary_reference_magnitude, projected_weights
 
 from conftest import SCENARIO_DIR, leaders_only_team
 
@@ -66,11 +67,18 @@ def test_helix_cells_cover_all_agents(helix_team):
     assert covered == set(range(1, 68))
 
 
-def test_enclosing_triangle_prefers_lowest_cell_id(square_team):
-    # the first point is on the shared edge of cells 1 and 2
-    points = np.array([[0.0, 2.0, 0.0], [-2.0, -0.5, 0.0], [4.0, 4.0, 0.0]])
-    index = enclosing_cells(cell_coordinates(square_team.cell_vertices, points))
-    assert index.tolist() == [0, 2, -1]
+def test_home_cell_is_the_deepest_enclosing_cell(square_team):
+    # on the shared edge of cells 1 and 2 (a tie, so the lower id), inside cell 3
+    # only, inside cell 2 but within tolerance of cell 1, and outside every cell
+    points = [[0.0, 2.0, 0.0], [-2.0, -0.5, 0.0], [-1e-11, 2.0, 0.0], [4.0, 4.0, 0.0]]
+    positions = np.vstack([square_team.positions, points])
+    partition = sd.LayerPartition(square_team.partition.new_sets + ((14, 15, 16, 17),))
+    cells = sd.build_cells(partition, positions)
+    home = {agent: cell.cell_id for cell in cells for agent in cell.home}
+    assert sorted(home) == list(range(1, 17))
+    assert [home.get(agent) for agent in (14, 15, 16, 17)] == [1, 3, 2, None]
+    assert 16 in cells[0].members and 16 in cells[1].members
+    assert cells[0].home_weights[cells[0].home.index(14)].tolist() == [0.5, 0.0, 0.5]
 
 
 def test_enclosing_triangle_outside_raises(square_team):
@@ -91,14 +99,13 @@ def test_validate_leaders_only_team_ok():
     assert report.warnings == []
 
 
-def test_validate_rejects_core_off_origin(square_team):
-    positions = square_team.positions.copy()
-    positions[4] = [0.1, 0.0, 0.0]
-    cells = sd.build_cells(square_team.partition, positions)
-    team = sd.TeamConfiguration(square_team.partition, positions, cells,
-                                square_team.safety)
-    report = sd.validate_team(team)
-    assert any("core must be at origin" in v for v in report.violations)
+def test_validate_rejects_core_off_origin(monkeypatch):
+    # refused at load, before any geometry is built
+    doc = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    doc["team"]["positions"][5] = [0.1, 0.0, 0.0]
+    monkeypatch.setattr(scenario, "build_cells", None)
+    with pytest.raises(sd.ScenarioError, match="invalid team: core must be at origin"):
+        sd.load_scenario(doc)
 
 
 def test_validate_rejects_small_first_layer():
