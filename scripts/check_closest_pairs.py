@@ -5,9 +5,11 @@ Usage: python scripts/check_closest_pairs.py TRACE [TRACE ...]
 Each TRACE is a trajectory trace written by `swarmdeform simulate --out`.
 Its desired and actual position stacks are read back exactly, swept with
 `closest_pairs`, and compared bit for bit, distance and first pair of every
-sample, with pdist and a first argmin of each sample. Prints, per stack, how
-many samples the sweep took through per-sample pdist (the rest it took from
-an anchored block or the k-d tree). Exits 1 naming the first sample that
+sample, with pdist and a first argmin of each sample. Prints the CPUs this
+process may use, one run of the k-d tree sweep each (pin the process, say
+with `taskset -c 0`, to check the one-run sweep), and, per stack, how many
+samples the sweep took through per-sample pdist (the rest it took from an
+anchored block or the k-d tree). Exits 1 naming the first sample that
 differs.
 """
 
@@ -57,6 +59,7 @@ def check(stack: np.ndarray) -> tuple[str | None, int]:
 
 def main(paths: list[str]) -> int:
     failed = False
+    print(f"usable CPUs: {safety._usable_cpus()}")
     for path in paths:
         _, _, desired, actual = read_trajectory(path)
         for kind, stack in (("desired", desired), ("actual", actual)):

@@ -12,6 +12,8 @@ every boundary scale is in (0, upper edge] and the core scale and shift finite.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -174,6 +176,14 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
 #    times D_min(s - 1) - 2R, a lower bound on the minimum at s (R between
 #    samples s - 1 and s); after a jump it could take in up to all N(N-1)/2
 #    pairs, and the nearest-neighbour radius is taken instead.
+#    The in-range samples split into contiguous runs, each swept on its own
+#    thread, as cKDTree's build and queries release the GIL: one run per CPU
+#    this process may use, but no more runs than leave each one _MIN_RUN
+#    samples, and a single run for teams below _SPLIT_MIN_AGENTS. The warm
+#    radius carries within a run; a run's first sample takes the
+#    nearest-neighbour radius. Trees are built unbalanced and without
+#    compacted nodes, which is cheaper here. Every candidate is re-measured,
+#    so neither the split nor the tree's shape can change a bit.
 #
 # Measured on a 2-core Xeon VM (helix67 at dt 0.4, 2501 samples, N = 67):
 # - KDTREE_MIN_AGENTS: per-sample sweep of a slowly moving jittered lattice
@@ -194,6 +204,28 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
 #   anchors, at 1024 3 % on 13.
 # - _WARM_RATIO: on hex2k (N = 2269, closed loop) the warm radius reaches 8.7
 #   times the lower bound; at 16 every sample after the first stays warm.
+# Path 3's runs, measured on the same VM as medians of 30 to 80 interleaved
+# rounds; a ratio is the time on two runs over the time on one:
+# - The hex2k seed-4 commanded stack (N = 2269, 51 samples): 53.0 ms with
+#   balanced, compact trees on one run, 40.0 ms with unbalanced, uncompacted
+#   trees, 39.3 ms on two runs, 31.3 ms with both.
+# - _MIN_RUN: on the first n samples of that stack, 0.81 at 4 samples a run
+#   and 0.76 at 8; on a drifting lattice of N = 1024, 1.07 at 4, 0.91 at 8.
+# - _SPLIT_MIN_AGENTS: on drifting lattices, 1.16 to 1.23 at N = 256 for 16
+#   to 32 samples a run, and 0.90 to 1.06 at N = 384; at N = 512, 0.97 and
+#   1.01 at 8 and 12 samples a run, 0.80 from 24. The GIL-held entry and exit
+#   of each scipy call outweigh the tree work at small N: two threads building
+#   256-point trees take 4.2 ms where one thread takes 2.5 ms.
+# Negative results, measured on prototypes:
+# - Threads on paths 1 and 2 are slower. On helix67 paper-exact (dt 0.4, the
+#   commanded and actual stacks) two threads took 211 ms against 110 ms
+#   serial: each pdist call spends about 10 us in scipy's Python dispatch,
+#   and the threads fight over the GIL.
+# - Path 2's bound does not pay on path 3's teams. On hex2k at dt 0.4, R is
+#   about 0.1 a sample against a 0.555 spacing, so one sample after an anchor
+#   already admits 6642 pairs; one tree per block of 1, 2, 4 or 8 samples, on
+#   the pairs within U + 2R, took 54, 67, 64 and 100 ms against 57 ms for
+#   one tree per sample.
 KDTREE_MIN_AGENTS = 256
 _SHARE = 32
 _LOOKAHEAD = (8, 256)
@@ -202,6 +234,8 @@ _SLACK = 2.0 ** -48
 _TINY = 2.0 ** -500
 _MAX_COORD = 2.0 ** 500
 _WARM_RATIO = 16.0
+_MIN_RUN = 8
+_SPLIT_MIN_AGENTS = 1024
 
 
 def _pair_distances(p: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -285,7 +319,7 @@ def _tree_closest(p: np.ndarray, radius: float | None) -> tuple[float, np.ndarra
     minimum, so few pairs qualify, and it saves the nearest-neighbour query,
     which costs more than building the tree and collecting the pairs together.
     """
-    tree = cKDTree(p)
+    tree = cKDTree(p, balanced_tree=False, compact_nodes=False)
     if radius is None:
         radius = tree.query(p, k=2)[0][:, 1].min()
     # the slack covers the tree's own rounding of the radius pair
@@ -293,6 +327,25 @@ def _tree_closest(p: np.ndarray, radius: float | None) -> tuple[float, np.ndarra
     d = _pair_distances(p, i, j)
     first = np.lexsort((j, i, d))[0]
     return d[first], np.array([i[first], j[first]])
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _tree_sweep(stack: np.ndarray, in_range: np.ndarray, run: np.ndarray,
+                dist: np.ndarray, pairs: np.ndarray) -> None:
+    """Fill the closest distance and pair of every sample of `run`, ascending
+    in-range samples, on path 3; the warm radius carries within the run."""
+    for s in run:
+        p = stack[s]
+        radius = None
+        if s > run[0] and in_range[s - 1]:   # the previous sample is this run's too
+            warm = _pair_distances(p, pairs[s - 1, :1], pairs[s - 1, 1:])[0]
+            if warm <= _WARM_RATIO * (dist[s - 1] - 2.0 * _reach(p - stack[s - 1])):
+                radius = warm
+        dist[s], pairs[s] = _tree_closest(p, radius)
 
 
 def closest_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,14 +377,14 @@ def closest_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m < KDTREE_MIN_AGENTS:
         _anchored_closest(stack, top, in_range, dist, pairs)
         return dist, pairs
-    for s in np.flatnonzero(in_range):
-        p = stack[s]
-        radius = None
-        if s and in_range[s - 1]:   # the previous sample took the tree too
-            warm = _pair_distances(p, pairs[s - 1, :1], pairs[s - 1, 1:])[0]
-            if warm <= _WARM_RATIO * (dist[s - 1] - 2.0 * _reach(p - stack[s - 1])):
-                radius = warm
-        dist[s], pairs[s] = _tree_closest(p, radius)
+    samples = np.flatnonzero(in_range)
+    workers = min(_usable_cpus(), samples.size // _MIN_RUN) if m >= _SPLIT_MIN_AGENTS else 1
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda run: _tree_sweep(stack, in_range, run, dist, pairs),
+                          np.array_split(samples, workers)))
+    else:
+        _tree_sweep(stack, in_range, samples, dist, pairs)
     return dist, pairs
 
 

@@ -8,6 +8,7 @@ simulation settings under the versioned tag ``swarm-scenario/1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Mapping
 
@@ -19,9 +20,9 @@ from .hierarchy import AVERAGING_MODES
 from .qp import SCALING_MODES
 from .safety import alpha_bounds
 from .sim import SIM_MODES, ReferenceTrajectory, make_trajectory
-from .team import (MAX_COORDINATE, LayerPartition, SafetyParameters, TeamConfiguration,
-                   ValidationReport, boundary_reference_magnitude, build_cells,
-                   validate_team)
+from .team import (MAX_COORDINATE, MIN_COORDINATE, LayerPartition, SafetyParameters,
+                   TeamConfiguration, ValidationReport, boundary_reference_magnitude,
+                   build_cells, validate_team)
 
 SCHEMA_TAG = "swarm-scenario/1"
 # libyaml's loader when it is built in: the same documents, several times faster
@@ -86,10 +87,11 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
-def _parse_ids(value, n: int, what: str = "agent id") -> list[int]:
-    """Accept 7, "7", "8..13", "1,3,5..9", or lists of those; ids checked in 1..n first."""
+def _id_ranges(value, n: int, what: str = "agent id") -> list[tuple[int, int]]:
+    """Accept 7, "7", "8..13", "1,3,5..9", or lists of those, as (lo, hi) ranges
+    with ids checked in 1..n; nothing is expanded."""
     if isinstance(value, (list, tuple)):
-        return [agent for item in value for agent in _parse_ids(item, n, what)]
+        return [r for item in value for r in _id_ranges(item, n, what)]
     if not isinstance(value, str):
         value = str(_integer(value, what))
     out = []
@@ -103,8 +105,13 @@ def _parse_ids(value, n: int, what: str = "agent id") -> list[int]:
             raise ScenarioError(f"{what} '{chunk}' reaches outside 1..{n}")
         if hi < lo:
             raise ScenarioError(f"empty id range '{chunk}'")
-        out.extend(range(lo, hi + 1))
+        out.append((lo, hi))
     return out
+
+
+def _parse_ids(value, n: int, what: str = "agent id") -> list[int]:
+    """The ids of `_id_ranges`, expanded in order."""
+    return [agent for lo, hi in _id_ranges(value, n, what) for agent in range(lo, hi + 1)]
 
 
 def _choice(section: Mapping, key: str, where: str, default: str, allowed) -> str:
@@ -136,27 +143,33 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
     tsec = _section(doc, "team", "", required=True)
     ssec = _section(doc, "safety", "", required=True)
     n = _integer(_require(tsec, "n_agents", "team"), "team.n_agents")
+    layers = _require(tsec, "layers", "team")
+    listed = sum(hi - lo + 1 for spec in layers for lo, hi in _id_ranges(spec, n, "team.layers id"))
+    miscount = ScenarioError(f"invalid partition: the layers list {listed} agents, "
+                             f"team.n_agents is {n}")
+    placed = {_integer(key, "team.positions key"): triple for key, triple in
+              _section(tsec, "positions", "team", required=True).items()}
+    # the document bounds the team: nothing of size n is built for agents it cannot place
+    if n > len(placed):
+        if listed != n:
+            raise miscount
+        missing = list(islice((agent for agent in range(1, n + 1) if agent not in placed), 10))
+        rest = n - sum(1 <= agent <= n for agent in placed) - len(missing)
+        raise ScenarioError(f"agents {missing}{f' and {rest} more' if rest else ''} "
+                            "have no material position")
     partition = LayerPartition(tuple(tuple(sorted(_parse_ids(spec, n, "team.layers id")))
-                                     for spec in _require(tsec, "layers", "team")))
-    listed = len(partition.all_ids())
+                                     for spec in layers))
     if listed != n:
-        raise ScenarioError(f"invalid partition: the layers list {listed} agents, "
-                            f"team.n_agents is {n}")
+        raise miscount
 
-    pos_map = _section(tsec, "positions", "team", required=True)
+    # at least n distinct keys, and none may lie outside 1..n: every agent is placed
     positions = np.zeros((n, 3))
-    given = np.zeros(n, dtype=bool)
-    for key, triple in pos_map.items():
-        agent = _integer(key, "team.positions key")
+    for agent, triple in placed.items():
         if not 1 <= agent <= n:
             raise ScenarioError(f"position given for unknown agent {agent}")
         if not isinstance(triple, (list, tuple, np.ndarray)) or len(triple) != 3:
             raise ScenarioError(f"agent {agent}: position must be an [x, y, z] triple")
         positions[agent - 1] = [_real(x, "team.positions coordinate") for x in triple]
-        given[agent - 1] = True
-    missing = (np.flatnonzero(~given) + 1).tolist()
-    if missing:
-        raise ScenarioError(f"agents {missing} have no material position")
     # checked before any geometry, in one pass; a nan compares False, so it is out of range too
     out = ~np.all(np.abs(positions) <= MAX_COORDINATE, axis=1)
     if out.any():
@@ -170,6 +183,10 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
     if zero.size:
         raise ScenarioError(f"invalid team: boundary leader {zero[0] + 1} "
                             "has zero material position")
+    scale = float(np.abs(positions[: n_pl - 1]).max())
+    if scale < MIN_COORDINATE:
+        raise ScenarioError(f"invalid team: its largest boundary-leader coordinate is "
+                            f"{scale:.6g}, below {MIN_COORDINATE:.6g}; scale the team up")
 
     delta, epsilon, a_max = (_real(_require(ssec, key, "safety"), f"safety.{key}")
                              for key in ("delta", "epsilon", "a_max"))

@@ -21,8 +21,11 @@ from .errors import ScenarioError
 # containment slack for the projected barycentric test (dimensionless weights)
 CONTAINMENT_TOL = 1e-9
 # magnitude bounds that keep the geometry finite: the containment solve takes fourth
-# powers of material coordinates, and a scale or shift in range keeps |alpha*a| + |s| <= 2**1001
+# powers of material coordinates, and a scale or shift in range keeps |alpha*a| + |s| <= 2**1001;
+# the boundary leaders' largest coordinate must be at least MIN_COORDINATE, so that those
+# fourth powers stay normal numbers (a smaller team's Gram entries underflow)
 MAX_COORDINATE = 2.0 ** 200
+MIN_COORDINATE = 2.0 ** -200
 MAX_VALUE = 2.0 ** 800
 
 

@@ -292,37 +292,43 @@ def test_certify_huge_schedule_value_is_unsafe(capsys, tmp_path, column, expecte
     assert caught == []
 
 
-@pytest.mark.parametrize("path, value, message", [
-    (("team", "layers"), [], "invalid partition: it needs a layer, and no layer may be empty"),
-    (("team", "layers"), [""], "invalid partition: it needs a layer, and no layer may be empty"),
-    (("team", "layers"), ["1"], "invalid partition: the first layer needs at least "
-                                "3 boundary leaders plus the core"),
-    (("team", "layers"), ["1..2", "3..13"], "invalid partition: the first layer needs "
-                                            "at least 3 boundary leaders plus the core"),
-    (("team", "layers"), ["1..5", "5..9", "10..13"],
+@pytest.mark.parametrize("edits, message", [
+    ({("team", "layers"): []}, "invalid partition: it needs a layer, and no layer may be empty"),
+    ({("team", "layers"): [""]},
+     "invalid partition: it needs a layer, and no layer may be empty"),
+    ({("team", "layers"): ["1"]}, "invalid partition: the first layer needs at least "
+                                  "3 boundary leaders plus the core"),
+    ({("team", "layers"): ["1..2", "3..13"]}, "invalid partition: the first layer needs "
+                                              "at least 3 boundary leaders plus the core"),
+    ({("team", "layers"): ["1..5", "5..9", "10..13"]},
      "invalid partition: duplicate agent ids [5]"),
-    (("team", "layers"), ["1..5", "6..8", "10..13"],
+    ({("team", "layers"): ["1..5", "6..8", "10..13"]},
      "invalid partition: agent ids must be 1..12, missing [9]"),
-    (("team", "n_agents"), 14, "invalid partition: the layers list 13 agents, "
-                               "team.n_agents is 14"),
-    (("team", "positions", 2), [float("inf"), 0.0, 0.0], "agent 2: material position"),
-    (("team", "positions", 7), [0.0, 1e160, 0.0], "agent 7: material position"),
-    (("team", "layers", 2), "10..1000000000",
+    ({("team", "n_agents"): 14}, "invalid partition: the layers list 13 agents, "
+                                 "team.n_agents is 14"),
+    ({("team", "positions", 2): [float("inf"), 0.0, 0.0]}, "agent 2: material position"),
+    ({("team", "positions", 7): [0.0, 1e160, 0.0]}, "agent 7: material position"),
+    ({("team", "layers", 2): "10..1000000000"},
      "team.layers id '10..1000000000' reaches outside 1..13"),
-    (("team", "positions", 1), [0.0, 0.0, 0.0],
+    ({("team", "positions", 1): [0.0, 0.0, 0.0]},
      "invalid team: boundary leader 1 has zero material position"),
-    (("team", "positions", 7), [-1.5, -1.5, 0.0], "invalid team: coincident agents in cell 3"),
+    ({("team", "positions", 7): [-1.5, -1.5, 0.0]}, "invalid team: coincident agents in cell 3"),
+    # a team larger than its document is refused before anything of its size is built
+    ({("team", "n_agents"): 1000000, ("team", "layers", 2): "10..1000000"},
+     "agents [14, 15, 16, 17, 18, 19, 20, 21, 22, 23] and 999977 more have no material position"),
 ], ids=["no-layer", "empty-layer", "one-agent", "two-leaders", "overlap", "gap",
         "n-agents", "inf-coordinate", "huge-coordinate", "huge-range", "zero-leader",
-        "coincident"])
-def test_malformed_team_exit_code(capsys, tmp_path, path, value, message):
+        "coincident", "huge-team"])
+def test_malformed_team_exit_code(capsys, tmp_path, edits, message):
     # the team is checked before any geometry, its cells after: exit 1 is the
-    # UNSAFE verdict, so a bad partition, coordinate or cell must exit 2, and
-    # warn in no setting
-    doc = node = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    # UNSAFE verdict, so a bad partition, coordinate or cell must exit 2, with
+    # a short message, and warn in no setting
+    doc = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
+    for path, value in edits.items():
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(doc))
     with warnings.catch_warnings(record=True) as caught:
@@ -331,6 +337,7 @@ def test_malformed_team_exit_code(capsys, tmp_path, path, value, message):
     captured = capsys.readouterr()
     assert code == 2
     assert f"error: {message}" in captured.err
+    assert len(captured.err) < 1024
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert caught == []

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +301,71 @@ def test_tree_warm_radius_falls_back_after_a_jump(monkeypatch):
     assert stale > 3.0 * dist[2]
     assert radii[2] == pytest.approx(dist[2] * (1.0 + 1e-9), rel=1e-12)
     assert np.all(np.array(radii) <= 1.01 * dist)
+
+
+@pytest.fixture(scope="module")
+def split_lattice():
+    """40 samples of a drifting lattice just large enough to split the tree sweep."""
+    return drifting_lattice(safety._SPLIT_MIN_AGENTS + 4, 40)
+
+
+# the bad samples straddle the middle: on two runs the first ends before them
+# and the second starts after them; on three the middle run holds them
+@pytest.mark.parametrize("nan_at, huge_at, starts", [
+    (None, None, (1, 2, 3)), (19, 20, (2, 2, 4)), (20, 19, (2, 2, 4)),
+], ids=["finite", "nan-then-huge", "huge-then-nan"])
+def test_split_tree_sweep_matches_pdist(monkeypatch, split_lattice, nan_at, huge_at, starts):
+    stack = split_lattice.copy()
+    if nan_at is not None:
+        stack[nan_at, 7, 1] = np.nan
+        stack[huge_at] *= 2.0 ** 510   # beyond _MAX_COORD: pdist takes it
+    ref_dist, ref_pairs = first_argmin_oracle(stack)
+    queries = []
+
+    class RecordingTree(safety.cKDTree):
+        def query(self, *args, **kwargs):
+            queries.append(1)
+            return super().query(*args, **kwargs)
+
+    monkeypatch.setattr(safety, "cKDTree", RecordingTree)
+    # runs write disjoint samples of shared arrays: switching threads often,
+    # three of them on fewer cores, a lost write would show as a nan or a 0 pair
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers, expected in zip((1, 2, 3), starts):
+            monkeypatch.setattr(safety, "_usable_cpus", lambda: workers)
+            queries.clear()
+            dist, pairs = closest_pairs(stack)
+            assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
+            # the nearest-neighbour radius is taken at each run's first sample
+            # and after the bad samples (sample 21), the warm radius elsewhere
+            assert len(queries) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_tree_sweep_splits_only_large_teams_and_long_runs(monkeypatch):
+    runs = []
+
+    def sweep(stack, in_range, run, dist, pairs):
+        runs.append(run.tolist())
+
+    monkeypatch.setattr(safety, "_tree_sweep", sweep)
+    monkeypatch.setattr(safety, "_usable_cpus", lambda: 4)
+    small = drifting_lattice(KDTREE_MIN_AGENTS, 1)
+    large = drifting_lattice(safety._SPLIT_MIN_AGENTS, 1)
+    for stack, n, expected in ((small, 40, 1), (large, 2 * safety._MIN_RUN - 1, 1),
+                               (large, 3 * safety._MIN_RUN, 3), (large, 40, 4)):
+        runs.clear()
+        closest_pairs(np.repeat(stack, n, axis=0))
+        assert len(runs) == expected
+        assert sorted(s for run in runs for s in run) == list(range(n))
+        assert min(map(len, runs)) >= (safety._MIN_RUN if expected > 1 else 0)
+    monkeypatch.setattr(safety, "_usable_cpus", lambda: 1)
+    runs.clear()
+    closest_pairs(np.repeat(large, 40, axis=0))
+    assert runs == [list(range(40))]
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,8 @@ import yaml
 import swarmdeform as sd
 from swarmdeform.scenario import _YAML_LOADER, _parse_ids, planning_bounds
 
+from swarmdeform.team import MIN_COORDINATE
+
 from conftest import SCENARIO_DIR
 
 
@@ -70,6 +72,33 @@ def test_rejects_missing_position(square_doc):
     del square_doc["team"]["positions"][13]
     with pytest.raises(sd.ScenarioError, match=r"agents \[13\] have no material position"):
         sd.load_scenario(square_doc)
+
+
+def _scaled(doc, factor):
+    doc["team"]["positions"] = {agent: [factor * x for x in triple]
+                                for agent, triple in doc["team"]["positions"].items()}
+    return doc
+
+
+@pytest.mark.parametrize("power", [-190, -202], ids=["small", "at-the-bound"])
+def test_small_team_keeps_its_cells_and_weights(square_scenario, square_weights, square_doc,
+                                                power):
+    # scaled by a power of two, down to a largest coordinate of MIN_COORDINATE
+    # (square13's is 4), every Gram entry scales exactly
+    team = sd.load_scenario(_scaled(square_doc, 2.0 ** power)).team
+    weights = sd.build_layer_weights(team, square_scenario.weights)
+    for cell, ref in zip(team.cells, square_scenario.team.cells, strict=True):
+        assert (cell.vertices, cell.members) == (ref.vertices, ref.members)
+        assert cell.p_min == 2.0 ** power * ref.p_min
+    assert weights.composite.tobytes() == square_weights.composite.tobytes()
+
+
+@pytest.mark.parametrize("factor, scale", [(1e-170, "4e-170"), (2.0 ** -203, "3.11151e-61")])
+def test_team_below_min_coordinate_rejected(square_doc, factor, scale):
+    # below it the containment solve's Gram entries underflow
+    with pytest.raises(sd.ScenarioError, match=rf"largest boundary-leader coordinate is {scale}, "
+                                               rf"below {MIN_COORDINATE:.6g}"):
+        sd.load_scenario(_scaled(square_doc, factor))
 
 
 def test_parse_ids_forms():
