@@ -84,8 +84,9 @@ def _settings(scenario, args) -> tuple[tuple[float, float], str, float, float]:
 
 def _plan(scenario, weights, args):
     bounds, scaling, dt, duration = _settings(scenario, args)
-    schedule = alpha_schedule(scenario.team, weights, scenario.trajectory,
-                              time_grid(duration, dt), bounds, scenario.qp.zeta,
+    team = scenario.team
+    schedule = alpha_schedule(team, weights, scenario.trajectory,
+                              time_grid(duration, dt, team.n_agents), bounds, scenario.qp.zeta,
                               scaling, scenario.weights.average)
     return schedule, bounds, scaling
 

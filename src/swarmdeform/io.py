@@ -3,7 +3,9 @@
 All floats are written as the bytes of format(x, ".17g"), so a written trace
 reparses to the exact same doubles; `certify` can therefore re-derive
 commanded positions from a planner trace bit-for-bit. Two dialects: "csv"
-(comma) and "text" (whitespace). The first line is always the column header.
+(comma) and "text" (whitespace). The first line is always the column header,
+and each trace kind has one layout, `_header`, which its writer writes and its
+reader requires name for name; every kind then parses in one structured pass.
 
 The writers format floats with one numpy kernel, `_float_slots`, instead of
 a dtoa call per field. It derives each value's 17 significant digits as an
@@ -241,14 +243,25 @@ def _write_table(path, header: list[str], blocks, fmt: str) -> None:
         raise ScenarioError(f"cannot write trace file {path}: {exc.strerror}") from None
 
 
-def _read_table(path, kind: str, fits, ids: bool = False) -> tuple[list[str], np.ndarray]:
-    """Header and rows of a `kind` trace whose header passes `fits`.
+def _header(kind: str, n_pl: int = 0) -> list[str]:
+    """The one column layout of a `kind` trace, for its writer and its reader:
+    t, then an id for the id-keyed kinds, then the values."""
+    if kind == "planner":
+        return (["t"] + [f"alpha_{i + 1}" for i in range(n_pl)]
+                + ["s_x", "s_y", "s_z", "objective", "kkt"])
+    if kind == "trajectory":
+        return ["t", "agent_id", "x_des", "y_des", "z_des", "x_act", "y_act", "z_act"]
+    return ["t", "cell_id", "lambda_1", "lambda_2", "lambda_3", "bound", "margin", "safe"]
 
-    Rows are floats (rows, columns), or with `ids` structured rows of t, an
-    int64 id and the other columns as `values`: the id column is parsed as
-    integer text in the same pass, so an id such as 1.0, 1e3, nan or
-    4503599627370496.5 (a double that rounds to an integer) makes the trace
-    malformed, as any field of it that does not parse does.
+
+def _read_table(path, kind: str) -> np.ndarray:
+    """Rows of a `kind` trace whose header is exactly `_header(kind, ...)`.
+
+    Rows are structured: t, an int64 id for the id-keyed kinds, and the other
+    columns as `values`. The id column is parsed as integer text in the same
+    pass, so an id such as 1.0, 1e3, nan or 4503599627370496.5 (a double that
+    rounds to an integer) makes the trace malformed, as a row of another width
+    or any field that does not parse does.
     """
     try:
         with open(path) as fh:  # streamed: no whole-file string, no per-row float lists
@@ -257,25 +270,22 @@ def _read_table(path, kind: str, fits, ids: bool = False) -> tuple[list[str], np
             if not second:
                 raise ScenarioError(f"{'malformed' if first else 'empty'} trace file {path}")
             header = first.replace(",", " ").split()
-            if not fits(header):
+            if header != _header(kind, sum(name.startswith("alpha_") for name in header)):
                 raise ScenarioError(f"not a {kind} trace: {path}")
-            dtype = (np.dtype([("t", float), ("id", np.int64),
-                               ("values", float, (len(header) - 2,))]) if ids else float)
+            keyed = kind != "planner"
+            dtype = np.dtype([("t", float)] + [("id", np.int64)] * keyed
+                             + [("values", float, (len(header) - 1 - keyed,))])
             try:  # np.loadtxt parses each float field exactly as float() does
-                data = np.loadtxt(itertools.chain([second], lines), dtype, comments=None,
-                                  delimiter="," if "," in first else None,
-                                  ndmin=1 if ids else 2)
+                return np.loadtxt(itertools.chain([second], lines), dtype, comments=None,
+                                  delimiter="," if "," in first else None, ndmin=1)
             except UnicodeDecodeError:  # a ValueError too, but not a malformed row
                 raise
-            except ValueError:  # a field that does not parse, or a row of another length
-                raise ScenarioError(f"malformed {kind} trace: {path}" if ids
+            except ValueError:  # a field that does not parse, or a row of another width
+                raise ScenarioError(f"malformed {kind} trace: {path}" if keyed
                                     else f"malformed trace file {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc.reason
         raise ScenarioError(f"cannot read trace file {path}: {reason}") from None
-    if not ids and data.shape[1] != len(header):
-        raise ScenarioError(f"malformed trace file {path}")
-    return header, data
 
 
 def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -302,9 +312,6 @@ def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]
 
 
 def write_schedule(path, schedule: Schedule, fmt: str = "csv") -> None:
-    n_pl = schedule.alpha.shape[1]
-    header = (["t"] + [f"alpha_{i + 1}" for i in range(n_pl)]
-              + ["s_x", "s_y", "s_z", "objective", "kkt"])
     # (n, 3) residuals from the planner, or (n,) maxima read back from a trace
     if schedule.kkt is None:
         kkt = np.full(schedule.n_samples, math.nan)
@@ -314,7 +321,7 @@ def write_schedule(path, schedule: Schedule, fmt: str = "csv") -> None:
     blocks = (_float_slots(np.column_stack([schedule.t[s], schedule.alpha[s], schedule.shift[s],
                                             schedule.objective[s], kkt[s]]))
               for s in _chunks(schedule.n_samples))
-    _write_table(path, header, blocks, fmt)
+    _write_table(path, _header("planner", schedule.alpha.shape[1]), blocks, fmt)
 
 
 def read_schedule(path) -> Schedule:
@@ -324,21 +331,13 @@ def read_schedule(path) -> Schedule:
     they come back as nan / "unknown". The kkt column holds the per-sample
     maximum residual.
     """
-    header, data = _read_table(path, "planner", lambda header: (
-        header[0] == "t" and any(name.startswith("alpha_") for name in header)
-        and header[-2:] == ["objective", "kkt"]))
-    n_pl = sum(name.startswith("alpha_") for name in header)
-    t = data[:, 0]
-    alpha = data[:, 1:1 + n_pl]
-    shift = data[:, 1 + n_pl:4 + n_pl]
-    objective = data[:, 4 + n_pl]
-    kkt = data[:, 5 + n_pl]
-    return Schedule(t, alpha, shift, objective, kkt, math.nan, math.nan,
-                    math.nan, "unknown")
+    data = _read_table(path, "planner")
+    values = data["values"]
+    return Schedule(data["t"], values[:, :-5], values[:, -5:-2], values[:, -2], values[:, -1],
+                    math.nan, math.nan, math.nan, "unknown")
 
 
 def write_trajectory(path, log: SimLog, agent_ids, fmt: str = "csv") -> None:
-    header = ["t", "agent_id", "x_des", "y_des", "z_des", "x_act", "y_act", "z_act"]
     id_slots = _int_slots(agent_ids)
     desired = log.desired.reshape(-1, 3)
     actual = log.actual.reshape(-1, 3)
@@ -349,14 +348,12 @@ def write_trajectory(path, log: SimLog, agent_ids, fmt: str = "csv") -> None:
         return _columns(t_slots[sample], id_slots[agent],
                         _float_slots(np.column_stack([desired[s], actual[s]])))
 
-    _write_table(path, header, map(block, _chunks(desired.shape[0])), fmt)
+    _write_table(path, _header("trajectory"), map(block, _chunks(desired.shape[0])), fmt)
 
 
 def read_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (t, agent_ids, desired, actual) with positions (n, N, 3)."""
-    _, data = _read_table(path, "trajectory",
-                          lambda header: header[:2] == ["t", "agent_id"] and len(header) == 8,
-                          ids=True)
+    data = _read_table(path, "trajectory")
     t, ids = _samples(path, data, "trajectory")
     n, n_agents = t.size, ids.size
     desired = data["values"][:, 0:3].reshape(n, n_agents, 3)
@@ -366,8 +363,6 @@ def read_trajectory(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 def write_certification(path, report: CertificationReport, fmt: str = "csv",
                         cell_ids=None) -> None:
-    header = ["t", "cell_id", "lambda_1", "lambda_2", "lambda_3",
-              "bound", "margin", "safe"]
     n_cells = report.margins.shape[1]
     if cell_ids is None:
         cell_ids = range(1, n_cells + 1)
@@ -382,14 +377,12 @@ def write_certification(path, report: CertificationReport, fmt: str = "csv",
                         bound_slots[cell], _float_slots(margins[s]),
                         safe_slots[(margins[s] >= -report.margin_tol).astype(np.intp)])
 
-    _write_table(path, header, map(block, _chunks(margins.size)), fmt)
+    _write_table(path, _header("certification"), map(block, _chunks(margins.size)), fmt)
 
 
 def read_certification(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Returns (t, cell_ids, lambdas (n, n_cells, 3), bounds, margins)."""
-    _, data = _read_table(path, "certification",
-                          lambda header: header[:2] == ["t", "cell_id"] and len(header) == 8,
-                          ids=True)
+    data = _read_table(path, "certification")
     t, cells = _samples(path, data, "certification")
     n, n_cells = t.size, cells.size
     values = data["values"]

@@ -26,18 +26,23 @@ Two scaling modes build the quadratic term:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ScenarioError
 from .hierarchy import LayerWeights, compose_delta_rows
-from .team import TeamConfiguration
+from .team import MAX_COORDINATE, TeamConfiguration
 
 SCALING_MODES = ("consistent", "paper-exact")
 # slack at or below which kkt_residual treats a box row as active
 KKT_ACTIVE_TOL = 1e-8
+# doubles a mission's commanded stack (samples x agents x 3) may take: 2 GiB,
+# which holds a 24571-agent team over 2501 samples (1.8e8) and refuses a grid
+# that would not fit in memory before anything of its size is built
+MAX_STACK_DOUBLES = 2**28
+_SHIFT_RANGE = (f"desired shift must be a finite [x, y, z] triple, each coordinate at most "
+                f"{MAX_COORDINATE:.6g} in magnitude")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +91,22 @@ def assemble_problem(r: np.ndarray, s_desired: np.ndarray,
 
     `r` is the output layer R (3, n_pl + 3) of `compose_delta_rows`.
     """
-    if not 0.0 < zeta < math.inf:
-        raise ScenarioError("zeta must be positive and finite")
+    # every input at most MAX_COORDINATE (a nan compares False) keeps the
+    # products of H, k and x near 2**800 at most, far from overflow
+    if not 0.0 < zeta <= MAX_COORDINATE:
+        raise ScenarioError(f"zeta must be positive and finite, at most "
+                            f"{MAX_COORDINATE:.6g}, got {zeta}")
     if scaling not in SCALING_MODES:
         raise ScenarioError(f"unknown scaling mode {scaling!r}")
     alpha_min, alpha_max = float(bounds[0]), float(bounds[1])
-    if not (math.isfinite(alpha_min) and math.isfinite(alpha_max)):
-        raise ScenarioError(f"alpha bounds must be finite, got [{alpha_min}, {alpha_max}]")
+    if not (abs(alpha_min) <= MAX_COORDINATE and abs(alpha_max) <= MAX_COORDINATE):
+        raise ScenarioError(f"alpha bounds must be finite, at most {MAX_COORDINATE:.6g} "
+                            f"in magnitude, got [{alpha_min}, {alpha_max}]")
     if alpha_min > alpha_max:
         raise ScenarioError(f"infeasible alpha bounds: {alpha_min} > {alpha_max}")
     s_desired = np.asarray(s_desired, dtype=float)
-    if s_desired.shape != (3,) or not np.all(np.isfinite(s_desired)):
-        raise ScenarioError("desired shift must be a finite [x, y, z] triple")
+    if s_desired.shape != (3,) or not np.all(np.abs(s_desired) <= MAX_COORDINATE):
+        raise ScenarioError(_SHIFT_RANGE)
 
     dim = r.shape[1]
     rtr = r.T @ r
@@ -107,6 +116,16 @@ def assemble_problem(r: np.ndarray, s_desired: np.ndarray,
         h = zeta * np.eye(dim) + rtr
     k, b_eq = _linear_terms(r, s_desired)
     return QpProblem(h, k, b_eq, dim - 3, zeta, scaling, alpha_min, alpha_max)
+
+
+def check_stack(n_samples: float, n_agents: int) -> None:
+    """Refuse a mission whose commanded stack exceeds MAX_STACK_DOUBLES; an
+    inf sample count is refused too."""
+    doubles = n_samples * n_agents * 3
+    if not doubles <= MAX_STACK_DOUBLES:
+        raise ScenarioError(f"a mission of {n_samples:.6g} samples of {n_agents} agents "
+                            f"commands {doubles:.6g} coordinates, above the budget of "
+                            f"{MAX_STACK_DOUBLES} doubles")
 
 
 def _linear_terms(r: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,10 +329,11 @@ def alpha_schedule(team: TeamConfiguration, weights: LayerWeights, trajectory,
     call's rows equal the one-t calls, as they do on the shipped trajectories.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    check_stack(t_grid.size, team.n_agents)
     r = compose_delta_rows(team, weights, average)
     shifts = np.asarray(trajectory.position(t_grid), dtype=float)
-    if shifts.shape != (t_grid.size, 3) or not np.all(np.isfinite(shifts)):
-        raise ScenarioError("desired shift must be a finite [x, y, z] triple")
+    if shifts.shape != (t_grid.size, 3) or not np.all(np.abs(shifts) <= MAX_COORDINATE):
+        raise ScenarioError(_SHIFT_RANGE)
     problem = assemble_problem(r, np.zeros(3), bounds, zeta, scaling)
     out = _solve_stack(problem, *_linear_terms(r, shifts))
     n_pl = problem.n_pl

@@ -17,9 +17,9 @@ from scipy.spatial.distance import pdist  # noqa: F401
 
 from .errors import NumericalError, ScenarioError
 from .hierarchy import LayerWeights, trajectory_positions
-from .qp import Schedule, alpha_schedule
+from .qp import Schedule, alpha_schedule, check_stack
 from .safety import closest_pairs
-from .team import TeamConfiguration
+from .team import MAX_COORDINATE, TeamConfiguration
 
 DEFAULT_HELIX_AMPLITUDES = (0.4, 0.4, 0.6)
 SIM_MODES = ("closed-loop", "open-loop")
@@ -46,8 +46,13 @@ def helix_reference(omega: float = 0.01,
     s(t) = [ax*omega*t, ay*sin(pi*omega*t), az*cos(pi*omega*t)].
     """
     ax, ay, az = (float(a) for a in amplitudes)
-    if not np.isfinite(omega) or omega == 0.0:
-        raise ScenarioError("helix omega must be finite and nonzero")
+    # with t at most MAX_COORDINATE too (time_grid), |ax * omega * t| <= 2**600
+    if not 0.0 < abs(omega) <= MAX_COORDINATE:
+        raise ScenarioError(f"helix omega must be finite and nonzero, at most "
+                            f"{MAX_COORDINATE:.6g} in magnitude, got {omega}")
+    if not max(abs(ax), abs(ay), abs(az)) <= MAX_COORDINATE:
+        raise ScenarioError(f"helix amplitudes must be finite, at most {MAX_COORDINATE:.6g} "
+                            f"in magnitude, got {[ax, ay, az]}")
 
     def fn(t: np.ndarray) -> np.ndarray:
         phase = np.pi * omega * t
@@ -61,11 +66,25 @@ def waypoint_reference(times, points) -> ReferenceTrajectory:
     """Natural cubic spline through (t_i, [x, y, z]_i) waypoints."""
     times = np.asarray(times, dtype=float)
     points = np.asarray(points, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
-        raise ScenarioError("waypoint times must be strictly increasing, >= 2 samples")
-    if points.shape != (times.size, 3):
-        raise ScenarioError("waypoints must be one [x, y, z] triple per time")
-    spline = CubicSpline(times, points, axis=0, bc_type="natural")
+    in_range = f"at most {MAX_COORDINATE:.6g} in magnitude"
+    if (times.ndim != 1 or times.size < 2 or not np.all(np.abs(times) <= MAX_COORDINATE)
+            or np.any(np.diff(times) <= 0.0)):
+        raise ScenarioError(f"waypoint times must be strictly increasing, >= 2 samples, "
+                            f"each {in_range}")
+    if points.shape != (times.size, 3) or not np.all(np.abs(points) <= MAX_COORDINATE):
+        raise ScenarioError(f"waypoints must be one [x, y, z] triple per time, each "
+                            f"coordinate {in_range}")
+    # waypoints in range still overflow the divided differences when they are
+    # close in time (1e-300 apart): the spline's slopes or coefficients then
+    # read inf or nan, refused here without a warning
+    with np.errstate(all="ignore"):
+        try:
+            spline = CubicSpline(times, points, axis=0, bc_type="natural")
+        except ValueError:  # a non-finite slope
+            spline = None
+    if spline is None or not np.all(np.isfinite(spline.c)):
+        raise ScenarioError("waypoints too close in time for their spread: "
+                            "the spline's coefficients overflow")
 
     def fn(t: np.ndarray) -> np.ndarray:
         return spline(t)
@@ -118,9 +137,14 @@ class SimLog:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
 
-def time_grid(duration: float, dt: float) -> np.ndarray:
-    if not (0.0 < dt < np.inf and 0.0 < duration < np.inf):
-        raise ScenarioError("duration and dt must be positive and finite")
+def time_grid(duration: float, dt: float, n_agents: int = 1) -> np.ndarray:
+    """Samples 0, dt, ..., duration; their count is checked against the stack
+    budget of `n_agents` (`qp.check_stack`) before the grid is built."""
+    duration, dt = float(duration), float(dt)  # a ratio that overflows reads inf, unwarned
+    if not (0.0 < dt <= MAX_COORDINATE and 0.0 < duration <= MAX_COORDINATE):
+        raise ScenarioError(f"duration and dt must be positive and finite, at most "
+                            f"{MAX_COORDINATE:.6g}, got {duration} and {dt}")
+    check_stack(duration / dt + 1.0, n_agents)
     n = int(round(duration / dt))
     if abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
         raise ScenarioError(f"dt {dt} does not divide duration {duration}")
@@ -145,7 +169,7 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
     """
     if mode not in SIM_MODES:
         raise ScenarioError(f"unknown simulation mode {mode!r}")
-    t_grid = time_grid(duration, dt)
+    t_grid = time_grid(duration, dt, team.n_agents)
     schedule = alpha_schedule(team, weights, trajectory, t_grid, bounds,
                               zeta, scaling, average)
     desired = trajectory_positions(team, weights, schedule.alpha, schedule.shift)

@@ -343,6 +343,69 @@ def test_malformed_team_exit_code(capsys, tmp_path, edits, message):
     assert caught == []
 
 
+
+HELIX = str(SCENARIO_DIR / "helix67.yaml")
+
+
+@pytest.mark.parametrize("config, edits, flags, message", [
+    (SQUARE, {}, ["--T", "1e20", "--dt", "1"],
+     "a mission of 1e+20 samples of 13 agents commands 3.9e+21 coordinates, above the "
+     "budget of 268435456 doubles"),
+    (SQUARE, {}, ["--T", "1e300", "--dt", "1e-300"],
+     "duration and dt must be positive and finite"),
+    (SQUARE, {("qp", "zeta"): 1e308}, [], "zeta must be positive and finite"),
+    (SQUARE, {("qp", "alpha_bounds"): {"mode": "fixed", "min": 1e300, "max": 1e301}}, [],
+     "alpha bounds must be finite"),
+    (SQUARE, {}, ["--alpha-min", "1e300", "--alpha-max", "1e300"], "alpha bounds must be finite"),
+    (HELIX, {("trajectory", "amplitudes"): [1e300, 0.4, 0.6]}, [],
+     "helix amplitudes must be finite"),
+    (HELIX, {("trajectory", "amplitudes"): [float("inf"), 0.4, 0.6]}, [],
+     "helix amplitudes must be finite"),
+    (HELIX, {("trajectory", "omega"): 1e308}, [], "helix omega must be finite and nonzero"),
+    (SQUARE, {("trajectory", "points", 1): [1e308, 0.0, 0.0]}, [],
+     "waypoints must be one [x, y, z] triple per time"),
+    (SQUARE, {("trajectory", "times"): [0.0, 1e-300, 20.0, 30.0]}, [],
+     "waypoints too close in time for their spread"),
+], ids=["huge-grid", "overflowing-grid", "zeta", "alpha-bounds", "alpha-flags", "amplitude",
+        "inf-amplitude", "omega", "waypoint", "waypoint-times"])
+def test_out_of_range_mission_number_exit_code(capsys, tmp_path, config, edits, flags, message):
+    # every planner and trajectory number is at most team.MAX_COORDINATE, and the
+    # grid fits the stack budget; each is checked before anything overflows or
+    # anything of the mission's size is built, so exit 2 with no warning
+    doc = yaml.safe_load(open(config).read())
+    for path, value in edits.items():
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["plan", "--config", str(bad)] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert caught == []
+
+
+def test_certify_planner_trace_without_shift_exit_code(capsys, tmp_path):
+    # exit 1 is the UNSAFE verdict; the old reader ended here in an IndexError
+    trace = tmp_path / "plan.csv"
+    assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
+    table = [line.split(",") for line in trace.read_text().splitlines()]
+    j = table[0].index("s_x")
+    trace.write_text("\n".join(",".join(row[:j] + row[j + 3:]) for row in table) + "\n")
+    capsys.readouterr()
+    code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: not a planner trace: {trace}" in captured.err
+    assert captured.out == ""
+
+
 def test_malformed_scenario_exit_code(capsys, tmp_path):
     config = tmp_path / "broken.yaml"
     config.write_text("schema: swarm-scenario/1\nteam: {n_agents: 13\n")

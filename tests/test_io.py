@@ -184,6 +184,69 @@ def test_read_rejects_wrong_trace_kind(square_run, tmp_path):
         sd.read_trajectory(plan)
 
 
+def _write_kind(square_run, kind, path, fmt):
+    log, report = square_run
+    write, read = {"planner": (lambda: sd.write_schedule(path, log.schedule, fmt),
+                               sd.read_schedule),
+                   "trajectory": (lambda: sd.write_trajectory(path, log, range(1, 14), fmt),
+                                  sd.read_trajectory),
+                   "certification": (lambda: sd.write_certification(path, report, fmt),
+                                     sd.read_certification)}[kind]
+    write()
+    read(path)
+    delim = "," if fmt == "csv" else " "
+    return read, delim, [line.split(delim) for line in path.read_text().splitlines()]
+
+
+def _drop(row, j, first):
+    del row[j]
+
+
+def _rename(row, j, first):
+    if first:
+        row[j] = row[j][::-1]
+
+
+def _swap(row, j, first):
+    row[j], row[j + 1] = row[j + 1], row[j]
+
+
+def _duplicate(row, j, first):
+    row.insert(j, row[j])
+
+
+@pytest.mark.parametrize("edit", [_drop, _rename, _swap, _duplicate],
+                         ids=["drop", "rename", "swap", "duplicate"])
+@pytest.mark.parametrize("kind, column", [("planner", "alpha_1"), ("planner", "s_y"),
+                                          ("trajectory", "y_act"),
+                                          ("certification", "bound")])
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_readers_refuse_any_other_header(square_run, tmp_path, edit, kind, column, fmt):
+    # the column is dropped, swapped with the next or duplicated in the header
+    # and in every row, or renamed in the header, so only the layout is wrong;
+    # the old readers accepted most of these and sliced the columns by position
+    path = tmp_path / f"{kind}.{fmt}"
+    read, delim, table = _write_kind(square_run, kind, path, fmt)
+    j = table[0].index(column)
+    for i, row in enumerate(table):
+        edit(row, j, i == 0)
+    path.write_text("\n".join(delim.join(row) for row in table) + "\n")
+    with pytest.raises(sd.ScenarioError, match=f"not a {kind} trace"):
+        read(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_planner_trace_without_its_shift_is_refused(square_run, tmp_path, fmt):
+    # s_x, s_y and s_z cut from the header and every row: the old reader took
+    # the objective and kkt columns for the shift, then ran out of columns
+    path = tmp_path / f"planner.{fmt}"
+    read, delim, table = _write_kind(square_run, "planner", path, fmt)
+    j = table[0].index("s_x")
+    path.write_text("\n".join(delim.join(row[:j] + row[j + 3:]) for row in table) + "\n")
+    with pytest.raises(sd.ScenarioError, match="not a planner trace"):
+        read(path)
+
+
 def test_read_rejects_malformed_and_empty(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("\n")

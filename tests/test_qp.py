@@ -8,6 +8,7 @@ from scipy.optimize import lsq_linear
 
 import swarmdeform as sd
 from swarmdeform.qp import KKT_ACTIVE_TOL, _box_active_set
+from swarmdeform.team import MAX_COORDINATE
 
 from conftest import grid_search_solution, random_planner_instance
 
@@ -32,6 +33,26 @@ def test_assemble_consistent_structure(square_rows):
     assert np.array_equal(problem.b_eq, [0.0, 0.3, -0.2, 0.1])
 
 
+@pytest.mark.parametrize("scaling", sd.qp.SCALING_MODES)
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (-1.0, 1.0)], ids=["both-at-bound", "symmetric"])
+def test_mission_at_the_magnitude_bound_plans_finite(square_team, square_weights, bounds,
+                                                     scaling):
+    # zeta, both box edges and the sampled shift at team.MAX_COORDINATE (2**200):
+    # every product of H, k and x stays near 2**800 at most, so nothing
+    # overflows and no warning is raised
+    m = MAX_COORDINATE
+    trajectory = sd.helix_reference(0.01, (0.4, m, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        schedule = sd.alpha_schedule(square_team, square_weights, trajectory,
+                                     sd.time_grid(100.0, 0.5), (bounds[0] * m, bounds[1] * m),
+                                     zeta=m, scaling=scaling)
+    assert np.abs(schedule.shift).max() == m
+    assert np.all(np.isfinite(schedule.objective))
+    assert np.all(np.isfinite(schedule.kkt))
+    assert schedule.kkt.max() <= 1e-8 * np.abs(schedule.objective).max()
+
+
 def test_assemble_paper_exact_halves_quadratic(square_rows):
     s = np.array([1.0, 0.0, 0.0])
     cons = sd.assemble_problem(square_rows, s, (0.5, 1.1), scaling="consistent")
@@ -48,12 +69,16 @@ def test_assemble_validation(square_rows):
         sd.assemble_problem(square_rows, s, (0.5, 1.1), scaling="exact")
     with pytest.raises(sd.ScenarioError, match="infeasible alpha bounds"):
         sd.assemble_problem(square_rows, s, (1.1, 0.5))
-    with pytest.raises(sd.ScenarioError, match="desired shift"):
-        sd.assemble_problem(square_rows, np.array([np.nan, 0.0, 0.0]), (0.5, 1.1))
-    for zeta in (np.nan, np.inf):
+    # every number beyond team.MAX_COORDINATE is refused like a non-finite one
+    huge = (2.0 * MAX_COORDINATE, 1e308)
+    for value in (np.nan, *huge):
+        with pytest.raises(sd.ScenarioError, match="desired shift"):
+            sd.assemble_problem(square_rows, np.array([value, 0.0, 0.0]), (0.5, 1.1))
+    for zeta in (np.nan, np.inf, *huge):
         with pytest.raises(sd.ScenarioError, match="zeta must be positive"):
             sd.assemble_problem(square_rows, s, (0.5, 1.1), zeta=zeta)
-    for bounds in ((np.nan, 1.1), (0.5, np.nan), (-np.inf, 1.1), (0.5, np.inf)):
+    for bounds in ((np.nan, 1.1), (0.5, np.nan), (-np.inf, 1.1), (0.5, np.inf),
+                   *((-value, 1.1) for value in huge), *((0.5, value) for value in huge)):
         with pytest.raises(sd.ScenarioError, match="alpha bounds must be finite"):
             sd.assemble_problem(square_rows, s, bounds)
 

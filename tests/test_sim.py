@@ -73,6 +73,38 @@ def test_time_grid():
             sd.time_grid(duration, dt)
 
 
+
+def test_time_grid_refuses_a_mission_beyond_the_stack_budget():
+    # checked before np.arange: 1e20 samples, or an overflowing inf, never allocate
+    for duration, dt, n_agents in ((1e20, 1.0, 1), (1e50, 1e-300, 1), (1e7, 1.0, 13)):
+        with pytest.raises(sd.ScenarioError, match="samples of .* above the budget"):
+            sd.time_grid(duration, dt, n_agents)
+    with pytest.raises(sd.ScenarioError, match="positive and finite"):
+        sd.time_grid(1e300, 1e-300)
+    # the largest hexagon team over the shipped mission grid fits: 1.8e8 doubles
+    assert sd.time_grid(1000.0, 0.4, 24571).size == 2501
+    assert 2501 * 24571 * 3 <= sd.qp.MAX_STACK_DOUBLES
+
+
+def test_trajectories_refuse_numbers_beyond_the_magnitude_bound():
+    huge = 2.0 ** 201
+    with pytest.raises(sd.ScenarioError, match="helix omega must be finite and nonzero"):
+        sd.helix_reference(omega=huge)
+    with pytest.raises(sd.ScenarioError, match="helix amplitudes must be finite"):
+        sd.helix_reference(amplitudes=(0.4, np.inf, 0.6))
+    points = [[0.0, 0.0, 0.0], [huge, 0.0, 0.0]]
+    with pytest.raises(sd.ScenarioError, match="triple per time"):
+        sd.waypoint_reference([0.0, 1.0], points)
+    with pytest.raises(sd.ScenarioError, match="strictly increasing"):
+        sd.waypoint_reference([0.0, huge], [[0.0] * 3, [1.0] * 3])
+    # times in range whose divided differences overflow, with warnings fatal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(sd.ScenarioError, match="spline's coefficients overflow"):
+            sd.waypoint_reference([0.0, 1e-300, 20.0, 30.0],
+                                  [[0.0] * 3, [0.3, 0.2, 0.1], [0.5, -0.2, 0.2], [0.8, 0, 0]])
+
+
 def test_pd_step_hand_computed():
     gains = sd.ControllerGains(kp=2.0, kd=1.0)
     r = np.array([1.0, 0.0, 0.0])
