@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .team import MAX_VALUE, TeamConfiguration
+from .team import MAX_COORDINATE, TeamConfiguration
 
 ROW_SUM_TOL = 1e-12
 # agents averaged into the nominal position: all of W_p, or the last new set
@@ -131,8 +131,8 @@ def trajectory_positions(team: TeamConfiguration, weights: LayerWeights,
         raise ScenarioError(f"alpha must have length {team.n_pl}")
     if shifts.shape != (alphas.shape[0], 3):
         raise ScenarioError("shift must be an [x, y, z] triple")
-    # beyond MAX_VALUE (inf too) reads nan: no inf * 0 warning, and the rest stay below 2**1001
-    alphas, shifts = (np.where(np.abs(x) <= MAX_VALUE, x, np.nan) for x in (alphas, shifts))
+    # beyond MAX_COORDINATE (inf too) reads nan: no inf * 0 warning, and the rest stay below 2**401
+    alphas, shifts = (np.where(np.abs(x) <= MAX_COORDINATE, x, np.nan) for x in (alphas, shifts))
     return weights.composite @ (alphas[:, :, None] * team.leader_positions + shifts[:, None, :])
 
 

@@ -281,11 +281,23 @@ def _read_table(path, kind: str) -> np.ndarray:
             except UnicodeDecodeError:  # a ValueError too, but not a malformed row
                 raise
             except ValueError:  # a field that does not parse, or a row of another width
-                raise ScenarioError(f"malformed {kind} trace: {path}" if keyed
-                                    else f"malformed trace file {path}") from None
+                raise _malformed(path, kind) from None
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc.reason
         raise ScenarioError(f"cannot read trace file {path}: {reason}") from None
+
+
+def _malformed(path, kind: str) -> ScenarioError:
+    return ScenarioError(f"malformed trace file {path}" if kind == "planner"
+                         else f"malformed {kind} trace: {path}")
+
+
+def _sample_times(path, t: np.ndarray, kind: str) -> np.ndarray:
+    """`t`, one time per sample, unless a time is not finite or the times do not
+    strictly increase: such a trace would certify samples out of order or twice."""
+    if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
+        raise _malformed(path, kind)
+    return t
 
 
 def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -293,6 +305,7 @@ def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]
 
     Every block must list the first block's ids in the same order, each once,
     at a single t; anything else would pair a row with the wrong agent or cell.
+    The blocks' times must then pass `_sample_times`.
     Blocks are k rows long, k the number of distinct ids, so when every block
     repeats the first one, that block holds each id once. Ids must be below
     2**53 in magnitude, where a double holds every integer, so an accepted
@@ -304,11 +317,10 @@ def _samples(path, data: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]
     first = ids[:k]
     if (ids.size % k
             or not np.array_equal(ids.reshape(n, k), np.broadcast_to(first, (n, k)))
-            or not np.array_equal(t.reshape(n, k), np.broadcast_to(t[::k, None], (n, k)),
-                                  equal_nan=True)
+            or not np.array_equal(t.reshape(n, k), np.broadcast_to(t[::k, None], (n, k)))
             or not np.all((first > -2**53) & (first < 2**53))):
-        raise ScenarioError(f"malformed {kind} trace: {path}")
-    return t[::k], first
+        raise _malformed(path, kind)
+    return _sample_times(path, t[::k], kind), first
 
 
 def write_schedule(path, schedule: Schedule, fmt: str = "csv") -> None:
@@ -332,8 +344,8 @@ def read_schedule(path) -> Schedule:
     maximum residual.
     """
     data = _read_table(path, "planner")
-    values = data["values"]
-    return Schedule(data["t"], values[:, :-5], values[:, -5:-2], values[:, -2], values[:, -1],
+    t, values = _sample_times(path, data["t"], "planner"), data["values"]
+    return Schedule(t, values[:, :-5], values[:, -5:-2], values[:, -2], values[:, -1],
                     math.nan, math.nan, math.nan, "unknown")
 
 

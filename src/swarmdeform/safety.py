@@ -23,7 +23,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError, SafetyWindowError
 from .qp import Schedule
-from .team import MAX_VALUE, SafetyParameters, TeamConfiguration
+from .team import MAX_COORDINATE, SafetyParameters, TeamConfiguration
 
 # how far below its bound a deformation margin or a distance may fall and pass
 MARGIN_TOL = 1e-9
@@ -121,11 +121,11 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
     The normal is fixed by Q and by Q^T, so the values are 1 and the two of
     the in-plane block B = [[p, q], [r, s]]: h + g and |h - g| with
     h = hypot(p + s, q - r) / 2 and g = hypot(p - s, q + r) / 2. A scale
-    beyond MAX_VALUE, inf included, reads as nan, so every value of its cell is nan;
-    the rest stay finite, as block entries are at most 1 / sin(core angle) < 1e6.
+    beyond MAX_COORDINATE, inf included, reads as nan, so every value of its cell is
+    nan; the rest stay finite, as block entries are at most 1 / sin(core angle) < 1e6.
     """
     index, b1, b2 = cell_blocks(team)
-    alpha = np.where(np.abs(alpha) <= MAX_VALUE, alpha, np.nan)
+    alpha = np.where(np.abs(alpha) <= MAX_COORDINATE, alpha, np.nan)
     block = alpha[:, index[:, 0], None, None] * b1 + alpha[:, index[:, 1], None, None] * b2
     p, q, r, s = block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
     h = 0.5 * np.hypot(p + s, q - r)
@@ -141,12 +141,13 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
 # with pdist's arithmetic (`_pair_distances`) and taken in pdist's condensed
 # order, and a pair is left out only when its computed distance provably
 # exceeds a candidate's, so every pair that reaches the minimum is a
-# candidate. A sample with a non-finite coordinate takes no path: with its
-# non-finite coordinates read as nan, pdist's first nan is the pair (0, b) of
-# the first such agent b, or (0, 1) when b is 0, and that is written directly.
+# candidate. A sample with a coordinate beyond _MAX_COORD, nan and inf
+# included, takes no path: it reads nan with the pair (0, b) of the first such
+# agent b, or (0, 1) when b is 0 (for a non-finite sample, pdist's first nan).
+# No stack the program builds gets there: commanded positions stay below 2**401.
 #
-# 1. Per-sample pdist: samples with a coordinate above _MAX_COORD, teams of
-#    fewer than _SHARE pairs, and the anchors and backoff runs of path 2.
+# 1. Per-sample pdist: teams of fewer than _SHARE pairs, and the anchors and
+#    backoff runs of path 2.
 # 2. Anchored sweep, teams below KDTREE_MIN_AGENTS. An anchor sample a gets a
 #    full pdist. A sample s after it checks only the pairs whose anchor
 #    distance D0 is at most U + 2R + slack. U is the distance at s of the
@@ -353,9 +354,9 @@ def closest_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     `stack` is (n, N, 3). Returns the distances (n,) and 0-based pairs (n, 2),
     i < j and lexicographically first on ties: bit for bit what pdist and a
-    first argmin give. A sample with a non-finite coordinate reads nan, so it
-    fails any threshold, with the pair (0, b) of the first agent b that has
-    one, or (0, 1) when b is 0: pdist's first nan.
+    first argmin give. A sample with a coordinate beyond _MAX_COORD, nan or
+    inf included, reads nan, so it fails any threshold, with the pair (0, b)
+    of the first agent b that has one, or (0, 1) when b is 0.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[2] != 3 or stack.shape[1] < 2:
@@ -366,14 +367,8 @@ def closest_pairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in_range = top <= _MAX_COORD
     dist = np.full(n, np.nan)
     pairs = np.zeros((n, 2), dtype=np.intp)
-    bad = np.flatnonzero(~np.isfinite(top))
-    pairs[bad, 1] = np.maximum(np.isfinite(stack[bad]).all(axis=2).argmin(axis=1), 1)
-    for s in np.flatnonzero(np.isfinite(top) & ~in_range):
-        d = pdist(stack[s])
-        k = int(d.argmin())
-        # row i of pdist's condensed order starts at i (2m - i - 1) / 2
-        i = int(np.searchsorted(np.cumsum(np.arange(m - 1, 0, -1)), k, side="right"))
-        dist[s], pairs[s] = d[k], (i, k - i * (2 * m - i - 1) // 2 + i + 1)
+    out = np.flatnonzero(~in_range)
+    pairs[out, 1] = np.maximum((np.abs(stack[out]) <= _MAX_COORD).all(axis=2).argmin(axis=1), 1)
     if m < KDTREE_MIN_AGENTS:
         _anchored_closest(stack, top, in_range, dist, pairs)
         return dist, pairs
@@ -414,7 +409,7 @@ class CertificationReport:
     min_distance_index: int
     alpha_ceiling: float           # upper edge of the safety window (motion-space ball)
     window_index: int              # first sample with a boundary scale outside (0, ceiling],
-                                   # or a scale or shift beyond MAX_VALUE or nan; -1 if none
+                                   # or a scale or shift beyond MAX_COORDINATE or nan; -1 if none
     window_alpha: float            # that value; nan if none
     window_entry: str              # "boundary scale", "core scale" or "shift s_x" ...; "" if none
 
@@ -482,11 +477,11 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     # positive: scales -a point-reflect a cell, with the same lambda_3 and
     # distances as scales a, but the path there folds it through Q = 0. The
     # core scale and the shift enter no other gate, so they must be at most
-    # MAX_VALUE, the range trajectory_positions reads.
+    # MAX_COORDINATE, the range trajectory_positions reads.
     ceiling = alpha_bounds(team).alpha_max
     nb = team.n_pl - 1
     values = np.hstack([schedule.alpha, schedule.shift])
-    outside = ~(np.abs(values) <= MAX_VALUE)
+    outside = ~(np.abs(values) <= MAX_COORDINATE)
     outside[:, :nb] = ~((values[:, :nb] > 0) & (values[:, :nb] <= ceiling))
     window_index, window_alpha, window_entry = -1, math.nan, ""
     if outside.any():

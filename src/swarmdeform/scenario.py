@@ -188,10 +188,13 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
         raise ScenarioError(f"invalid team: its largest boundary-leader coordinate is "
                             f"{scale:.6g}, below {MIN_COORDINATE:.6g}; scale the team up")
 
-    delta, epsilon, a_max = (_real(_require(ssec, key, "safety"), f"safety.{key}")
-                             for key in ("delta", "epsilon", "a_max"))
-    safety = SafetyParameters(delta, epsilon, a_max,
-                              boundary_reference_magnitude(positions, partition.n_pl))
+    keys = ("delta", "epsilon", "a_max")
+    margins = [_real(_require(ssec, key, "safety"), f"safety.{key}") for key in keys]
+    for key, value in zip(keys, margins):
+        if not 0.0 < value <= MAX_COORDINATE:
+            raise ScenarioError(f"safety.{key} must be positive and finite, at most "
+                                f"{MAX_COORDINATE:.6g}, got {value}")
+    safety = SafetyParameters(*margins, boundary_reference_magnitude(positions, partition.n_pl))
     return TeamConfiguration(partition, positions, build_cells(partition, positions), safety)
 
 
@@ -239,8 +242,9 @@ def _parse_sim(doc: Mapping) -> SimSettings:
     gains = _section(ssec, "gains", "sim")
     kp = _real(gains.get("kp", 4.0), "sim.gains.kp")
     kd = _real(gains.get("kd", 4.0), "sim.gains.kd")
-    if not (np.isfinite(kp) and np.isfinite(kd)):
-        raise ScenarioError(f"sim.gains.kp and sim.gains.kd must be finite, got {kp} and {kd}")
+    if not (abs(kp) <= MAX_COORDINATE and abs(kd) <= MAX_COORDINATE):
+        raise ScenarioError(f"sim.gains.kp and sim.gains.kd must be finite, at most "
+                            f"{MAX_COORDINATE:.6g} in magnitude, got {kp} and {kd}")
     if kp < 0.0 or kd < 0.0:
         raise ScenarioError(
             f"sim.gains.kp and sim.gains.kd must be non-negative, got {kp} and {kd}")
@@ -310,4 +314,10 @@ def planning_bounds(scenario: Scenario) -> tuple[float, float]:
     if scenario.qp.bounds_mode == "fixed":
         return scenario.qp.alpha_min, scenario.qp.alpha_max
     window = alpha_bounds(scenario.team)
+    # alpha_min <= alpha_max, so the upper edge bounds both
+    if window.alpha_max > MAX_COORDINATE:
+        safety = scenario.team.safety
+        raise ScenarioError(f"safety window edge alpha_max {window.alpha_max:.6g} is above "
+                            f"{MAX_COORDINATE:.6g}: safety.a_max {safety.a_max:.6g} is too "
+                            f"large for a0 {safety.a0:.6g}")
     return window.alpha_min, window.alpha_max

@@ -20,13 +20,12 @@ from .errors import ScenarioError
 
 # containment slack for the projected barycentric test (dimensionless weights)
 CONTAINMENT_TOL = 1e-9
-# magnitude bounds that keep the geometry finite: the containment solve takes fourth
-# powers of material coordinates, and a scale or shift in range keeps |alpha*a| + |s| <= 2**1001;
-# the boundary leaders' largest coordinate must be at least MIN_COORDINATE, so that those
-# fourth powers stay normal numbers (a smaller team's Gram entries underflow)
+# magnitude bounds that keep the geometry finite: every number the program reads is at most
+# MAX_COORDINATE, so the containment solve's fourth powers of material coordinates and a
+# commanded position |alpha*a| + |s| < 2**401 stay finite; the boundary leaders' largest
+# coordinate is at least MIN_COORDINATE, so those fourth powers stay normal numbers
 MAX_COORDINATE = 2.0 ** 200
 MIN_COORDINATE = 2.0 ** -200
-MAX_VALUE = 2.0 ** 800
 
 
 @dataclass(frozen=True)
@@ -262,9 +261,7 @@ def validate_team(team: TeamConfiguration) -> ValidationReport:
             "tracks their in-plane component")
 
     s = team.safety
-    if not (s.delta > 0 and s.epsilon > 0 and s.a_max > 0 and s.a0 > 0):
-        violations.append("safety parameters must be strictly positive")
-    elif s.a_max <= s.clearance:
+    if s.a_max <= s.clearance:
         warnings.append("a_max does not exceed 2*(delta+epsilon); the safety window is empty")
 
     return ValidationReport(violations, warnings)

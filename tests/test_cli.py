@@ -6,6 +6,7 @@ import yaml
 
 import swarmdeform as sd
 from swarmdeform.cli import main
+from swarmdeform.team import MAX_COORDINATE
 
 from conftest import SCENARIO_DIR
 
@@ -210,7 +211,8 @@ def test_certify_scales_above_window_are_unsafe(capsys, tmp_path):
 
 
 def test_certify_infinite_a_max_exit_code(capsys, tmp_path):
-    # an infinite a_max would open the window's upper edge and pass scales of 10
+    # an infinite a_max would open the window's upper edge and pass scales of
+    # 10; it is refused where it is read, by name
     trace = _planner_trace_with_boundary_scales_10(tmp_path)
     doc = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
     doc["safety"]["a_max"] = float("inf")
@@ -220,20 +222,22 @@ def test_certify_infinite_a_max_exit_code(capsys, tmp_path):
     code = main(["certify", "--config", str(config), "--schedule", str(trace)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "error: cell separations, clearance, a_max and a0 must be finite" in captured.err
+    assert "error: safety.a_max must be positive and finite, at most 1.60694e+60, got inf" \
+        in captured.err
     assert captured.out == ""
 
 
 def test_certify_singular_jacobian_exit_code(capsys, tmp_path):
     # one boundary scale at 0 in one sample collapses its cells' Jacobians; at
     # 1e-12, sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3 still holds, and at
-    # 1e-11 the cells are certified, far below their bound. At 1e200 the test
-    # holds too, and sigma_1**3 would overflow: the ratio form makes no warning
+    # 1e-11 the cells are certified, far below their bound. 1e200 is beyond
+    # team.MAX_COORDINATE, so it is outside the window and reads nan in the
+    # spectrum (the ratio form's finite 1e200 case is tests/test_safety.py's)
     trace = tmp_path / "plan.csv"
     assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
     lines = trace.read_text().splitlines()
     column = lines[0].split(",").index("alpha_1")
-    for scale, expected in (("0", 3), ("1e-12", 3), ("1e-11", 1), ("1e200", 3)):
+    for scale, expected in (("0", 3), ("1e-12", 3), ("1e-11", 1), ("1e200", 1)):
         fields = lines[20].split(",")
         fields[column] = scale
         trace.write_text("\n".join(lines[:20] + [",".join(fields)] + lines[21:]) + "\n")
@@ -244,6 +248,10 @@ def test_certify_singular_jacobian_exit_code(capsys, tmp_path):
         if code == 3:
             assert "deformation Jacobian is singular" in captured.err
             assert captured.out == ""
+        elif scale == "1e200":
+            assert captured.out.startswith("UNSAFE: worst margin nan (cell 1, sample 19)")
+            assert ("boundary scale 1e+200 outside the window (alpha_max 1.125, sample 19)"
+                    in captured.out)
         else:
             assert captured.out.startswith(
                 "UNSAFE: worst margin -3.578e-01 (cell 1, sample 19)")
@@ -272,8 +280,9 @@ def test_certify_infinite_scale_is_unsafe(capsys, tmp_path):
     ("s_x", "shift s_x 1e+308 out of range (sample 1)"),
 ], ids=["boundary-scale", "shift"])
 def test_certify_huge_schedule_value_is_unsafe(capsys, tmp_path, column, expected):
-    # a finite value beyond team.MAX_VALUE reads nan like inf: alpha * a would
-    # overflow, so it must read UNSAFE with no warning in either warning setting
+    # a finite value beyond team.MAX_COORDINATE reads nan like inf: it lies
+    # outside the range plan can write, so it must read UNSAFE with no warning
+    # in either warning setting
     trace = tmp_path / "plan.csv"
     assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
     lines = trace.read_text().splitlines()
@@ -347,6 +356,21 @@ def test_malformed_team_exit_code(capsys, tmp_path, edits, message):
 HELIX = str(SCENARIO_DIR / "helix67.yaml")
 
 
+def _square_scaled_by(factor):
+    """Edits scaling square13's positions, waypoints, delta and epsilon by `factor`."""
+    doc = yaml.safe_load(open(SQUARE).read())
+    return {("team", "positions"): {agent: [factor * x for x in triple]
+                                    for agent, triple in doc["team"]["positions"].items()},
+            ("trajectory", "points"): [[factor * x for x in point]
+                                       for point in doc["trajectory"]["points"]],
+            ("safety", "delta"): factor * doc["safety"]["delta"],
+            ("safety", "epsilon"): factor * doc["safety"]["epsilon"]}
+
+
+MARGINS = [(key, value) for key in ("delta", "epsilon", "a_max")
+           for value in (1e308, float("inf"), 0.0, -1.0)]
+
+
 @pytest.mark.parametrize("config, edits, flags, message", [
     (SQUARE, {}, ["--T", "1e20", "--dt", "1"],
      "a mission of 1e+20 samples of 13 agents commands 3.9e+21 coordinates, above the "
@@ -366,12 +390,30 @@ HELIX = str(SCENARIO_DIR / "helix67.yaml")
      "waypoints must be one [x, y, z] triple per time"),
     (SQUARE, {("trajectory", "times"): [0.0, 1e-300, 20.0, 30.0]}, [],
      "waypoints too close in time for their spread"),
+    *[(SQUARE, {("safety", key): value}, [],
+       f"safety.{key} must be positive and finite, at most 1.60694e+60, got {value}")
+      for key, value in MARGINS],
+    (SQUARE, {("qp", "alpha_bounds"): {"mode": "safety"}, ("safety", "a_max"): 1e300}, [],
+     "safety.a_max must be positive and finite, at most 1.60694e+60, got 1e+300"),
+    (SQUARE, {**_square_scaled_by(1e-50), ("qp", "alpha_bounds"): {"mode": "safety"},
+              ("safety", "a_max"): 1e20}, [],
+     "safety window edge alpha_max 2.5e+69 is above 1.60694e+60: safety.a_max 1e+20 is too "
+     "large for a0 4e-50"),
+    (SQUARE, {("sim", "gains", "kp"): 1e300}, [],
+     "sim.gains.kp and sim.gains.kd must be finite, at most 1.60694e+60 in magnitude, "
+     "got 1e+300 and 4.0"),
+    (SQUARE, {("sim", "gains", "kd"): 1e300}, [],
+     "sim.gains.kp and sim.gains.kd must be finite, at most 1.60694e+60 in magnitude, "
+     "got 4.0 and 1e+300"),
 ], ids=["huge-grid", "overflowing-grid", "zeta", "alpha-bounds", "alpha-flags", "amplitude",
-        "inf-amplitude", "omega", "waypoint", "waypoint-times"])
+        "inf-amplitude", "omega", "waypoint", "waypoint-times",
+        *[f"{key}-{value}" for key, value in MARGINS], "safety-box-a_max", "safety-box-edge",
+        "kp", "kd"])
 def test_out_of_range_mission_number_exit_code(capsys, tmp_path, config, edits, flags, message):
-    # every planner and trajectory number is at most team.MAX_COORDINATE, and the
-    # grid fits the stack budget; each is checked before anything overflows or
-    # anything of the mission's size is built, so exit 2 with no warning
+    # every number the program reads is at most team.MAX_COORDINATE, and the
+    # grid fits the stack budget; each is checked where it enters, before
+    # anything overflows or anything of the mission's size is built, so exit 2
+    # with no warning
     doc = yaml.safe_load(open(config).read())
     for path, value in edits.items():
         node = doc
@@ -423,6 +465,32 @@ def test_certify_malformed_trace_exit_code(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert "malformed trace file" in captured.err
+
+
+@pytest.mark.parametrize("edit", ["nan", "reversed", "all-zero"])
+def test_certify_planner_trace_with_bad_times_exit_code(capsys, tmp_path, edit):
+    # each copy certified SAFE before: the reader looked at no time, so the
+    # samples could come out of order, twice, or at no time at all
+    trace = tmp_path / "plan.csv"
+    assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
+    header, *rows = [line.split(",") for line in trace.read_text().splitlines()]
+    if edit == "nan":
+        rows[3][0] = "nan"
+    elif edit == "reversed":
+        rows.reverse()
+    else:
+        for row in rows:
+            row[0] = "0"
+    trace.write_text("".join(",".join(row) + "\n" for row in [header] + rows))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["certify", "--config", SQUARE, "--schedule", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: malformed trace file {trace}\n"
+    assert captured.out == ""
+    assert caught == []
 
 
 PLAN_HEADER = b"t,alpha_1,alpha_2,alpha_3,alpha_4,alpha_5,s_x,s_y,s_z,objective,kkt\n"
@@ -614,17 +682,23 @@ def test_non_finite_gains_exit_code(capsys, tmp_path, gain, value):
 
 
 def test_diverging_simulation_exit_code(capsys, tmp_path):
-    # the first step overflows; the guard reports it, and no warning escapes
+    # gains at the magnitude bound: the first step's error is near 2**194, and
+    # later steps of its block overflow; the guard reports the first step, and
+    # no warning escapes
     doc = yaml.safe_load((SCENARIO_DIR / "square13.yaml").read_text())
-    doc["sim"]["gains"] = {"kp": 1.0e308, "kd": 1.0e308}
+    doc["sim"]["gains"] = {"kp": MAX_COORDINATE, "kd": MAX_COORDINATE}
     config = tmp_path / "diverging.yaml"
     config.write_text(yaml.safe_dump(doc))
-    code = main(["simulate", "--config", str(config)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(config)])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err == ("numerical error: simulation diverged at t=0.100: "
-                            "tracking error inf exceeds 5.000\n")
+    assert captured.err.startswith("numerical error: simulation diverged at t=0.100: "
+                                   "tracking error 3285136694940310746")
+    assert captured.err.endswith(" exceeds 5.000\n")
     assert captured.out == ""
+    assert caught == []
 
 
 @pytest.mark.parametrize("gain", ["kp", "kd"])

@@ -247,6 +247,37 @@ def test_planner_trace_without_its_shift_is_refused(square_run, tmp_path, fmt):
         read(path)
 
 
+def _nan_time(blocks):
+    for row in blocks[1]:
+        row[0] = "nan"
+
+
+def _reverse_times(blocks):
+    blocks.reverse()
+
+
+def _zero_times(blocks):
+    for block in blocks:
+        for row in block:
+            row[0] = "0"
+
+
+@pytest.mark.parametrize("edit", [_nan_time, _reverse_times, _zero_times],
+                         ids=["nan", "reversed", "all-zero"])
+@pytest.mark.parametrize("kind, k", [("planner", 1), ("trajectory", 13), ("certification", 4)])
+def test_readers_refuse_times_that_do_not_increase(square_run, tmp_path, edit, kind, k):
+    # sample 1's time is nan, the samples come in reverse order, or every time
+    # is 0: per-sample times must be finite and strictly increase
+    path = tmp_path / f"{kind}.csv"
+    read, delim, table = _write_kind(square_run, kind, path, "csv")
+    blocks = [table[i:i + k] for i in range(1, len(table), k)]
+    edit(blocks)
+    path.write_text("\n".join(delim.join(row) for row in [table[0]] + sum(blocks, [])) + "\n")
+    message = "malformed trace file" if kind == "planner" else f"malformed {kind} trace"
+    with pytest.raises(sd.ScenarioError, match=message):
+        read(path)
+
+
 def test_read_rejects_malformed_and_empty(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("\n")

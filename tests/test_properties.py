@@ -600,6 +600,32 @@ def test_out_of_range_material_coordinate_is_refused(fan, value, data):
             sd.load_scenario(doc)
 
 
+def test_fan_team_at_the_magnitude_bound_stays_in_the_sweep_range():
+    # material coordinates, scales and shifts all at +-MAX_COORDINATE (2**200):
+    # the team passes the scenario's checks, every commanded position is a
+    # convex row of alpha * a + s, so below 2**401 and far from the distance
+    # sweep's 2**500, and the sweep equals the oracle with no warning
+    m = MAX_COORDINATE
+    ring = [[m, m, 0.0], [-m, m, 0.0], [-m, -m, 0.0], [m, -m, 0.0]]
+    interior = [[0.5 * m, 0.25 * m, 0.0], [-0.25 * m, 0.5 * m, 0.0],
+                [-0.5 * m, -0.5 * m, 0.0], [0.125 * m, -0.75 * m, 0.0], [0.75 * m, 0.0, 0.0]]
+    doc = {"schema": "swarm-scenario/1",
+           "team": {"n_agents": 10, "layers": ["1..5", "6..8", "9..10"],
+                    "positions": dict(enumerate(ring + [[0.0, 0.0, 0.0]] + interior, 1))},
+           "safety": {"delta": 1.0, "epsilon": 1.0, "a_max": m},
+           "trajectory": {"kind": "helix"}}
+    team = sd.load_scenario(doc).team
+    signs = np.random.default_rng(7).choice([-1.0, 1.0], size=(16, team.n_pl + 3))
+    signs[0], signs[1] = 1.0, -1.0
+    stack = sd.trajectory_positions(team, sd.build_layer_weights(team),
+                                    m * signs[:, :team.n_pl], m * signs[:, team.n_pl:])
+    assert np.isfinite(stack).all() and np.abs(stack).max() < 2.0 ** 402
+    assert np.abs(stack).max() >= 2.0 ** 399
+    dist, pairs = closest_pairs(stack)
+    ref_dist, ref_pairs = first_argmin_oracle(stack)
+    assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
+
+
 def per_step_loop(desired, r, gains, dt, limit, t_grid):
     """The closed loop one step at a time with the guard after every step:
     the reference the blocked loop must equal bit for bit."""

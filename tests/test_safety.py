@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -142,12 +143,17 @@ def test_spectrum_singular_raises():
     # sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3. The near case has det 9.0e-12
     # against 1e-12 sigma_1**3 = 2.7e-11: the cutoff scales with sigma_1, not
     # with the largest entry (1e-12 max|Q|**3 = 1e-12). The zero matrix's
-    # ratios would be 0/0, and it must still be singular
+    # ratios would be 0/0, and it must still be singular. A finite Jacobian at
+    # 1e200 is singular too, where sigma_1**3 would overflow: the ratio form
+    # gives no warning
     near = np.ones((3, 3)) + np.diag([0.0, 3e-6, 3e-6])
     assert np.linalg.det(near) == pytest.approx(9.0e-12, rel=1e-3)
-    for q in (np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 5e-13]), near, np.zeros((3, 3))):
-        with pytest.raises(sd.NumericalError, match="singular"):
-            sd.pure_deformation_spectrum(q)
+    for q in (np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 5e-13]), near, np.zeros((3, 3)),
+              np.diag([1e200, 0.5, 1.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sd.NumericalError, match="singular"):
+                sd.pure_deformation_spectrum(q)
     np.testing.assert_allclose(sd.pure_deformation_spectrum(np.diag([1.0, 1.0, 2e-12])),
                                [1.0, 1.0, 2e-12], rtol=1e-9)
 
@@ -192,32 +198,44 @@ def _counting_pdist(monkeypatch):
     return calls
 
 
+def _assert_oracle_but_beyond(stack, dist, pairs, beyond=()):
+    """The samples `beyond`, whose agent 0 lies beyond _MAX_COORD, read nan at
+    the pair (0, 1); every other sample is the oracle's, bit for bit."""
+    beyond = np.asarray(beyond, dtype=np.intp)
+    assert np.all(np.abs(stack[beyond, 0]).max(axis=-1) > safety._MAX_COORD)
+    assert np.isnan(dist[beyond]).all() and (pairs[beyond] == (0, 1)).all()
+    ref_dist, ref_pairs = first_argmin_oracle(stack)
+    keep = np.ones(stack.shape[0], dtype=bool)
+    keep[beyond] = False
+    assert dist[keep].tobytes() == ref_dist[keep].tobytes()
+    assert np.array_equal(pairs[keep], ref_pairs[keep])
+
+
 @pytest.mark.parametrize("start", [9, 10], ids=["block-edge", "mid-block"])
 @pytest.mark.parametrize("scale", [1e-200, 1e160], ids=["underflow", "overflow"])
 def test_closest_pairs_extreme_coordinates_match_pdist(monkeypatch, scale, start):
     # from sample `start` on, the team sits at `scale`: its squares underflow
-    # to 0 or overflow to inf, which the anchored bound cannot reason about
+    # to 0, which the anchored bound cannot reason about, or it lies beyond
+    # _MAX_COORD (2**500), a range no stack the program builds reaches, and
+    # reads nan like a non-finite sample
     stack = sparse_lattice()[None] + 0.25 * np.arange(16)[:, None, None]
     stack[start:] *= scale
     calls = _counting_pdist(monkeypatch)
     dist, pairs = closest_pairs(stack)
-    ref_dist, ref_pairs = first_argmin_oracle(stack)
-    assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
-    # samples 1 to 8 come from the first anchor's first block, and the scaled
-    # ones from pdist. An overflowed sample ends the anchored run before it;
+    _assert_oracle_but_beyond(stack, dist, pairs, range(start, 16) if scale > 1.0 else ())
+    # samples 1 to 8 come from the first anchor's first block. A sample
+    # beyond _MAX_COORD ends the anchored run before it and takes no pdist;
     # an underflowed one fails the second block (samples 9 to 15) whole, and
     # that block's first sample is the next anchor
-    first_pdist = start if scale > 1.0 else 9
-    assert len(calls) == 1 + 16 - first_pdist
-    # the k-d tree path sends an overflowed sample to pdist too, and takes an
-    # underflowed one itself
+    assert len(calls) == (1 if scale > 1.0 else 1 + 16 - 9)
+    # the k-d tree path takes an underflowed sample itself, and no path takes
+    # one beyond _MAX_COORD
     large = drifting_lattice(KDTREE_MIN_AGENTS + 4, 8)
     large[start - 4:] *= scale
     calls = _counting_pdist(monkeypatch)
     dist, pairs = closest_pairs(large)
-    ref_dist, ref_pairs = first_argmin_oracle(large)
-    assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
-    assert len(calls) == (12 - start if scale > 1.0 else 0)
+    _assert_oracle_but_beyond(large, dist, pairs, range(start - 4, 8) if scale > 1.0 else ())
+    assert len(calls) == 0
 
 
 def test_non_finite_samples_make_no_pdist_call(monkeypatch):
@@ -316,10 +334,11 @@ def split_lattice():
 ], ids=["finite", "nan-then-huge", "huge-then-nan"])
 def test_split_tree_sweep_matches_pdist(monkeypatch, split_lattice, nan_at, huge_at, starts):
     stack = split_lattice.copy()
+    beyond = ()
     if nan_at is not None:
         stack[nan_at, 7, 1] = np.nan
-        stack[huge_at] *= 2.0 ** 510   # beyond _MAX_COORD: pdist takes it
-    ref_dist, ref_pairs = first_argmin_oracle(stack)
+        stack[huge_at] *= 2.0 ** 510   # beyond _MAX_COORD: reads nan at (0, 1)
+        beyond = (huge_at,)
     queries = []
 
     class RecordingTree(safety.cKDTree):
@@ -337,7 +356,7 @@ def test_split_tree_sweep_matches_pdist(monkeypatch, split_lattice, nan_at, huge
             monkeypatch.setattr(safety, "_usable_cpus", lambda: workers)
             queries.clear()
             dist, pairs = closest_pairs(stack)
-            assert dist.tobytes() == ref_dist.tobytes() and np.array_equal(pairs, ref_pairs)
+            _assert_oracle_but_beyond(stack, dist, pairs, beyond)
             # the nearest-neighbour radius is taken at each run's first sample
             # and after the bad samples (sample 21), the warm radius elsewhere
             assert len(queries) == expected
@@ -473,7 +492,8 @@ def test_certify_fails_closed_on_non_finite_shift_or_core_scale(
         square_team, square_certification, entry, where, value):
     # no other gate reads these columns: certified against the clean commanded
     # stack, the schedule would pass every other gate; a finite value beyond
-    # MAX_VALUE is out of range too, since trajectory_positions reads it as nan
+    # team.MAX_COORDINATE is out of range too, since trajectory_positions reads
+    # it as nan
     schedule, desired = square_certification
     column = getattr(schedule, where[0]).copy()
     column[5, where[1]] = value
