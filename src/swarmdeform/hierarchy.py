@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .team import MAX_COORDINATE, TeamConfiguration
+from .team import TeamConfiguration, check_range, in_range
 
 ROW_SUM_TOL = 1e-12
 # agents averaged into the nominal position: all of W_p, or the last new set
@@ -48,8 +48,7 @@ class LayerWeights:
 
 
 def _validate_rows(weights: np.ndarray, new: np.ndarray, cur_ids: tuple, layer: int):
-    if not np.all((weights >= -1e-12) & (weights <= 1.0 + 1e-12)):
-        raise ScenarioError(f"layer {layer} weights fall outside [0, 1]")
+    check_range(f"layer {layer} weights", weights, -1e-12, 1.0 + 1e-12)
     sums = weights.sum(axis=1)
     bad = np.where(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
     if bad.size:
@@ -131,8 +130,8 @@ def trajectory_positions(team: TeamConfiguration, weights: LayerWeights,
         raise ScenarioError(f"alpha must have length {team.n_pl}")
     if shifts.shape != (alphas.shape[0], 3):
         raise ScenarioError("shift must be an [x, y, z] triple")
-    # beyond MAX_COORDINATE (inf too) reads nan: no inf * 0 warning, and the rest stay below 2**401
-    alphas, shifts = (np.where(np.abs(x) <= MAX_COORDINATE, x, np.nan) for x in (alphas, shifts))
+    # outside in_range (inf too) reads nan: no inf * 0 warning, and the rest stay below 2**401
+    alphas, shifts = (np.where(in_range(x), x, np.nan) for x in (alphas, shifts))
     return weights.composite @ (alphas[:, :, None] * team.leader_positions + shifts[:, None, :])
 
 

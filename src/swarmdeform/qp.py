@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, ScenarioError
 from .hierarchy import LayerWeights, compose_delta_rows
-from .team import MAX_COORDINATE, TeamConfiguration
+from .team import TeamConfiguration, check_range
 
 SCALING_MODES = ("consistent", "paper-exact")
 # slack at or below which kkt_residual treats a box row as active
@@ -41,8 +41,6 @@ KKT_ACTIVE_TOL = 1e-8
 # which holds a 24571-agent team over 2501 samples (1.8e8) and refuses a grid
 # that would not fit in memory before anything of its size is built
 MAX_STACK_DOUBLES = 2**28
-_SHIFT_RANGE = (f"desired shift must be a finite [x, y, z] triple, each coordinate at most "
-                f"{MAX_COORDINATE:.6g} in magnitude")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,22 +89,20 @@ def assemble_problem(r: np.ndarray, s_desired: np.ndarray,
 
     `r` is the output layer R (3, n_pl + 3) of `compose_delta_rows`.
     """
-    # every input at most MAX_COORDINATE (a nan compares False) keeps the
-    # products of H, k and x near 2**800 at most, far from overflow
-    if not 0.0 < zeta <= MAX_COORDINATE:
-        raise ScenarioError(f"zeta must be positive and finite, at most "
-                            f"{MAX_COORDINATE:.6g}, got {zeta}")
+    # every input in team.check_range's magnitude range keeps the products
+    # of H, k and x near 2**800 at most, far from overflow
+    check_range("zeta", zeta, 0.0, ends="(]")
     if scaling not in SCALING_MODES:
         raise ScenarioError(f"unknown scaling mode {scaling!r}")
     alpha_min, alpha_max = float(bounds[0]), float(bounds[1])
-    if not (abs(alpha_min) <= MAX_COORDINATE and abs(alpha_max) <= MAX_COORDINATE):
-        raise ScenarioError(f"alpha bounds must be finite, at most {MAX_COORDINATE:.6g} "
-                            f"in magnitude, got [{alpha_min}, {alpha_max}]")
+    check_range("alpha_min", alpha_min)
+    check_range("alpha_max", alpha_max)
     if alpha_min > alpha_max:
         raise ScenarioError(f"infeasible alpha bounds: {alpha_min} > {alpha_max}")
     s_desired = np.asarray(s_desired, dtype=float)
-    if s_desired.shape != (3,) or not np.all(np.abs(s_desired) <= MAX_COORDINATE):
-        raise ScenarioError(_SHIFT_RANGE)
+    if s_desired.shape != (3,):
+        raise ScenarioError("desired shift must be an [x, y, z] triple")
+    check_range("desired shift", s_desired)
 
     dim = r.shape[1]
     rtr = r.T @ r
@@ -332,8 +328,9 @@ def alpha_schedule(team: TeamConfiguration, weights: LayerWeights, trajectory,
     check_stack(t_grid.size, team.n_agents)
     r = compose_delta_rows(team, weights, average)
     shifts = np.asarray(trajectory.position(t_grid), dtype=float)
-    if shifts.shape != (t_grid.size, 3) or not np.all(np.abs(shifts) <= MAX_COORDINATE):
-        raise ScenarioError(_SHIFT_RANGE)
+    if shifts.shape != (t_grid.size, 3):
+        raise ScenarioError("desired shifts must be one [x, y, z] triple per sample")
+    check_range("desired shift", shifts)
     problem = assemble_problem(r, np.zeros(3), bounds, zeta, scaling)
     out = _solve_stack(problem, *_linear_terms(r, shifts))
     n_pl = problem.n_pl

@@ -6,7 +6,7 @@ farthest boundary leader inside the motion-space ball of radius a_max. A
 configuration at time t is certified by the smallest singular value of each
 cell's deformation Jacobian (separation shrinks by at most that factor), a
 direct minimum-distance sweep of the commanded positions, and a check that
-every boundary scale is in (0, upper edge] and the core scale and shift finite.
+every boundary scale is in (0, upper edge] and the core scale and shift in range.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import NumericalError, SafetyWindowError
 from .qp import Schedule
-from .team import MAX_COORDINATE, SafetyParameters, TeamConfiguration
+from .team import SafetyParameters, TeamConfiguration, check_range, in_range
 
 # how far below its bound a deformation margin or a distance may fall and pass
 MARGIN_TOL = 1e-9
@@ -38,15 +38,16 @@ class SafetyBounds:
 def safety_window(separations: Iterable[float], safety: SafetyParameters) -> SafetyBounds:
     """Scale window from per-cell minimum separations and clearance margins.
 
-    Every input must be finite: `min` and `max` skip a nan that is not first,
-    and an infinite a_max would open the window's upper edge.
+    Every input must be positive and finite: `min` and `max` skip a nan that
+    is not first, and an infinite a_max would open the window's upper edge.
     """
     seps = [float(s) for s in separations]
     clearance = safety.clearance
-    if not all(map(math.isfinite, seps + [clearance, safety.a_max, safety.a0])):
-        raise SafetyWindowError("cell separations, clearance, a_max and a0 must be finite")
-    if not seps or min(seps) <= 0.0:
-        raise SafetyWindowError("cell separations must be positive")
+    if not seps:
+        raise SafetyWindowError("no cell separations")
+    check_range("cell separations", seps, 0.0, math.inf, "()", SafetyWindowError)
+    check_range("clearance, a_max and a0", [clearance, safety.a_max, safety.a0],
+                0.0, math.inf, "()", SafetyWindowError)
     alpha_min = max(clearance / s for s in seps)
     alpha_max = (safety.a_max - clearance) / safety.a0
     if alpha_min > alpha_max:
@@ -121,11 +122,11 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
     The normal is fixed by Q and by Q^T, so the values are 1 and the two of
     the in-plane block B = [[p, q], [r, s]]: h + g and |h - g| with
     h = hypot(p + s, q - r) / 2 and g = hypot(p - s, q + r) / 2. A scale
-    beyond MAX_COORDINATE, inf included, reads as nan, so every value of its cell is
+    outside `team.in_range`, inf included, reads as nan, so every value of its cell is
     nan; the rest stay finite, as block entries are at most 1 / sin(core angle) < 1e6.
     """
     index, b1, b2 = cell_blocks(team)
-    alpha = np.where(np.abs(alpha) <= MAX_COORDINATE, alpha, np.nan)
+    alpha = np.where(in_range(alpha), alpha, np.nan)
     block = alpha[:, index[:, 0], None, None] * b1 + alpha[:, index[:, 1], None, None] * b2
     p, q, r, s = block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1]
     h = 0.5 * np.hypot(p + s, q - r)
@@ -409,7 +410,7 @@ class CertificationReport:
     min_distance_index: int
     alpha_ceiling: float           # upper edge of the safety window (motion-space ball)
     window_index: int              # first sample with a boundary scale outside (0, ceiling],
-                                   # or a scale or shift beyond MAX_COORDINATE or nan; -1 if none
+                                   # or a scale or shift outside team.in_range; -1 if none
     window_alpha: float            # that value; nan if none
     window_entry: str              # "boundary scale", "core scale" or "shift s_x" ...; "" if none
 
@@ -476,13 +477,13 @@ def certify_configuration(team: TeamConfiguration, schedule: Schedule,
     # of the window is checked on the schedule itself. A scale must also be
     # positive: scales -a point-reflect a cell, with the same lambda_3 and
     # distances as scales a, but the path there folds it through Q = 0. The
-    # core scale and the shift enter no other gate, so they must be at most
-    # MAX_COORDINATE, the range trajectory_positions reads.
+    # core scale and the shift enter no other gate, so they must be in the
+    # range trajectory_positions reads.
     ceiling = alpha_bounds(team).alpha_max
     nb = team.n_pl - 1
     values = np.hstack([schedule.alpha, schedule.shift])
-    outside = ~(np.abs(values) <= MAX_COORDINATE)
-    outside[:, :nb] = ~((values[:, :nb] > 0) & (values[:, :nb] <= ceiling))
+    outside = ~in_range(values)
+    outside[:, :nb] = ~in_range(values[:, :nb], 0.0, ceiling, "(]")
     window_index, window_alpha, window_entry = -1, math.nan, ""
     if outside.any():
         window_index, col = divmod(int(np.argmax(outside)), values.shape[1])

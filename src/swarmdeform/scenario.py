@@ -22,7 +22,7 @@ from .safety import alpha_bounds
 from .sim import SIM_MODES, ReferenceTrajectory, make_trajectory
 from .team import (MAX_COORDINATE, MIN_COORDINATE, LayerPartition, SafetyParameters,
                    TeamConfiguration, ValidationReport, boundary_reference_magnitude,
-                   build_cells, validate_team)
+                   build_cells, check_range, in_range, validate_team)
 
 SCHEMA_TAG = "swarm-scenario/1"
 # libyaml's loader when it is built in: the same documents, several times faster
@@ -77,14 +77,18 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _real(value, what: str) -> float:
-    """A number (not a bool) or a numeral string, as a float.
+def _real(value, what: str, lo: float | None = None, ends: str = "[]") -> float:
+    """A number (not a bool) or a numeral string, as a float; given `lo`, it
+    must lie in the interval from lo to MAX_COORDINATE (`team.check_range`).
 
     `float` would read a bool as 1.0 or 0.0.
     """
     if isinstance(value, (bool, np.bool_)):
         raise ScenarioError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if lo is not None:
+        check_range(what, value, lo, ends=ends)
+    return value
 
 
 def _id_ranges(value, n: int, what: str = "agent id") -> list[tuple[int, int]]:
@@ -101,8 +105,8 @@ def _id_ranges(value, n: int, what: str = "agent id") -> list[tuple[int, int]]:
             continue
         lo, hi = (_integer(end, what) for end in
                   (chunk.split("..") if ".." in chunk else (chunk, chunk)))
-        if not (1 <= lo <= n and 1 <= hi <= n):
-            raise ScenarioError(f"{what} '{chunk}' reaches outside 1..{n}")
+        for end in (lo, hi):
+            check_range(f"{what} '{chunk}'", end, 1, n)
         if hi < lo:
             raise ScenarioError(f"empty id range '{chunk}'")
         out.append((lo, hi))
@@ -163,19 +167,16 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
         raise miscount
 
     # at least n distinct keys, and none may lie outside 1..n: every agent is placed
+    for agent in (min(placed), max(placed)):
+        check_range("team.positions key", agent, 1, n)
     positions = np.zeros((n, 3))
     for agent, triple in placed.items():
-        if not 1 <= agent <= n:
-            raise ScenarioError(f"position given for unknown agent {agent}")
         if not isinstance(triple, (list, tuple, np.ndarray)) or len(triple) != 3:
             raise ScenarioError(f"agent {agent}: position must be an [x, y, z] triple")
         positions[agent - 1] = [_real(x, "team.positions coordinate") for x in triple]
-    # checked before any geometry, in one pass; a nan compares False, so it is out of range too
-    out = ~np.all(np.abs(positions) <= MAX_COORDINATE, axis=1)
-    if out.any():
-        agent = int(out.argmax()) + 1
-        raise ScenarioError(f"agent {agent}: material position {positions[agent - 1].tolist()} "
-                            f"must be finite and at most {MAX_COORDINATE:.6g} in magnitude")
+    # checked before any geometry, in one pass; the error names the first agent out of range
+    agent = int(in_range(positions).all(axis=1).argmin()) + 1
+    check_range(f"agent {agent}: material position", positions[agent - 1])
     n_pl = partition.n_pl
     if np.any(positions[n_pl - 1] != 0.0):
         raise ScenarioError("invalid team: core must be at origin")
@@ -183,17 +184,11 @@ def _parse_team(doc: Mapping) -> TeamConfiguration:
     if zero.size:
         raise ScenarioError(f"invalid team: boundary leader {zero[0] + 1} "
                             "has zero material position")
-    scale = float(np.abs(positions[: n_pl - 1]).max())
-    if scale < MIN_COORDINATE:
-        raise ScenarioError(f"invalid team: its largest boundary-leader coordinate is "
-                            f"{scale:.6g}, below {MIN_COORDINATE:.6g}; scale the team up")
+    check_range("largest boundary-leader |coordinate|",
+                float(np.abs(positions[: n_pl - 1]).max()), MIN_COORDINATE)
 
-    keys = ("delta", "epsilon", "a_max")
-    margins = [_real(_require(ssec, key, "safety"), f"safety.{key}") for key in keys]
-    for key, value in zip(keys, margins):
-        if not 0.0 < value <= MAX_COORDINATE:
-            raise ScenarioError(f"safety.{key} must be positive and finite, at most "
-                                f"{MAX_COORDINATE:.6g}, got {value}")
+    margins = [_real(_require(ssec, key, "safety"), f"safety.{key}", 0.0, "(]")
+               for key in ("delta", "epsilon", "a_max")]
     safety = SafetyParameters(*margins, boundary_reference_magnitude(positions, partition.n_pl))
     return TeamConfiguration(partition, positions, build_cells(partition, positions), safety)
 
@@ -219,15 +214,15 @@ def _parse_weights(doc: Mapping) -> WeightsSettings:
 
 def _parse_qp(doc: Mapping) -> QpSettings:
     qsec = _section(doc, "qp", "")
-    zeta = _real(qsec.get("zeta", 1e-6), "qp.zeta")
+    zeta = _real(qsec.get("zeta", 1e-6), "qp.zeta", 0.0, "(]")
     scaling = _choice(qsec, "scaling", "qp", "consistent", SCALING_MODES)
     bsec = _section(qsec, "alpha_bounds", "qp")
     bounds_mode = _choice(bsec, "mode", "qp.alpha_bounds",
                           "safety" if "min" not in bsec else "fixed", ("fixed", "safety"))
     amin = amax = None
     if bounds_mode == "fixed":
-        amin, amax = (_real(_require(bsec, key, "qp.alpha_bounds"), f"qp.alpha_bounds.{key}")
-                      for key in ("min", "max"))
+        amin, amax = (_real(_require(bsec, key, "qp.alpha_bounds"), f"qp.alpha_bounds.{key}",
+                            -MAX_COORDINATE) for key in ("min", "max"))
         if amin > amax:
             raise ScenarioError(f"qp.alpha_bounds: min {amin} exceeds max {amax}")
     return QpSettings(zeta, scaling, bounds_mode, amin, amax)
@@ -235,19 +230,10 @@ def _parse_qp(doc: Mapping) -> QpSettings:
 
 def _parse_sim(doc: Mapping) -> SimSettings:
     ssec = _section(doc, "sim", "")
-    duration = _real(ssec.get("duration", 100.0), "sim.duration")
-    dt = _real(ssec.get("dt", 0.1), "sim.dt")
-    if duration <= 0.0 or dt <= 0.0:
-        raise ScenarioError("sim.duration and sim.dt must be positive")
+    duration = _real(ssec.get("duration", 100.0), "sim.duration", 0.0, "(]")
+    dt = _real(ssec.get("dt", 0.1), "sim.dt", 0.0, "(]")
     gains = _section(ssec, "gains", "sim")
-    kp = _real(gains.get("kp", 4.0), "sim.gains.kp")
-    kd = _real(gains.get("kd", 4.0), "sim.gains.kd")
-    if not (abs(kp) <= MAX_COORDINATE and abs(kd) <= MAX_COORDINATE):
-        raise ScenarioError(f"sim.gains.kp and sim.gains.kd must be finite, at most "
-                            f"{MAX_COORDINATE:.6g} in magnitude, got {kp} and {kd}")
-    if kp < 0.0 or kd < 0.0:
-        raise ScenarioError(
-            f"sim.gains.kp and sim.gains.kd must be non-negative, got {kp} and {kd}")
+    kp, kd = (_real(gains.get(key, 4.0), f"sim.gains.{key}", 0.0) for key in ("kp", "kd"))
     mode = _choice(ssec, "mode", "sim", "closed-loop", SIM_MODES)
     return SimSettings(duration, dt, kp, kd, mode)
 
@@ -314,10 +300,8 @@ def planning_bounds(scenario: Scenario) -> tuple[float, float]:
     if scenario.qp.bounds_mode == "fixed":
         return scenario.qp.alpha_min, scenario.qp.alpha_max
     window = alpha_bounds(scenario.team)
-    # alpha_min <= alpha_max, so the upper edge bounds both
-    if window.alpha_max > MAX_COORDINATE:
-        safety = scenario.team.safety
-        raise ScenarioError(f"safety window edge alpha_max {window.alpha_max:.6g} is above "
-                            f"{MAX_COORDINATE:.6g}: safety.a_max {safety.a_max:.6g} is too "
-                            f"large for a0 {safety.a0:.6g}")
+    # 0 < alpha_min <= alpha_max, so the upper edge bounds both
+    safety = scenario.team.safety
+    check_range(f"safety window edge alpha_max (safety.a_max {safety.a_max:.6g}, a0 "
+                f"{safety.a0:.6g})", window.alpha_max)
     return window.alpha_min, window.alpha_max

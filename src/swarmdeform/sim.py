@@ -19,7 +19,7 @@ from .errors import NumericalError, ScenarioError
 from .hierarchy import LayerWeights, trajectory_positions
 from .qp import Schedule, alpha_schedule, check_stack
 from .safety import closest_pairs
-from .team import MAX_COORDINATE, TeamConfiguration
+from .team import TeamConfiguration, check_range
 
 DEFAULT_HELIX_AMPLITUDES = (0.4, 0.4, 0.6)
 SIM_MODES = ("closed-loop", "open-loop")
@@ -46,13 +46,9 @@ def helix_reference(omega: float = 0.01,
     s(t) = [ax*omega*t, ay*sin(pi*omega*t), az*cos(pi*omega*t)].
     """
     ax, ay, az = (float(a) for a in amplitudes)
-    # with t at most MAX_COORDINATE too (time_grid), |ax * omega * t| <= 2**600
-    if not 0.0 < abs(omega) <= MAX_COORDINATE:
-        raise ScenarioError(f"helix omega must be finite and nonzero, at most "
-                            f"{MAX_COORDINATE:.6g} in magnitude, got {omega}")
-    if not max(abs(ax), abs(ay), abs(az)) <= MAX_COORDINATE:
-        raise ScenarioError(f"helix amplitudes must be finite, at most {MAX_COORDINATE:.6g} "
-                            f"in magnitude, got {[ax, ay, az]}")
+    # with t in the same magnitude range (time_grid), |ax * omega * t| <= 2**600
+    check_range("|trajectory.omega|", abs(omega), 0.0, ends="(]")
+    check_range("trajectory.amplitudes", [ax, ay, az])
 
     def fn(t: np.ndarray) -> np.ndarray:
         phase = np.pi * omega * t
@@ -66,14 +62,12 @@ def waypoint_reference(times, points) -> ReferenceTrajectory:
     """Natural cubic spline through (t_i, [x, y, z]_i) waypoints."""
     times = np.asarray(times, dtype=float)
     points = np.asarray(points, dtype=float)
-    in_range = f"at most {MAX_COORDINATE:.6g} in magnitude"
-    if (times.ndim != 1 or times.size < 2 or not np.all(np.abs(times) <= MAX_COORDINATE)
-            or np.any(np.diff(times) <= 0.0)):
-        raise ScenarioError(f"waypoint times must be strictly increasing, >= 2 samples, "
-                            f"each {in_range}")
-    if points.shape != (times.size, 3) or not np.all(np.abs(points) <= MAX_COORDINATE):
-        raise ScenarioError(f"waypoints must be one [x, y, z] triple per time, each "
-                            f"coordinate {in_range}")
+    check_range("trajectory.times", times)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
+        raise ScenarioError("trajectory.times must be strictly increasing, >= 2 samples")
+    if points.shape != (times.size, 3):
+        raise ScenarioError("trajectory.points must be one [x, y, z] triple per time")
+    check_range("trajectory.points", points)
     # waypoints in range still overflow the divided differences when they are
     # close in time (1e-300 apart): the spline's slopes or coefficients then
     # read inf or nan, refused here without a warning
@@ -83,7 +77,7 @@ def waypoint_reference(times, points) -> ReferenceTrajectory:
         except ValueError:  # a non-finite slope
             spline = None
     if spline is None or not np.all(np.isfinite(spline.c)):
-        raise ScenarioError("waypoints too close in time for their spread: "
+        raise ScenarioError("trajectory.times too close for the spread of trajectory.points: "
                             "the spline's coefficients overflow")
 
     def fn(t: np.ndarray) -> np.ndarray:
@@ -111,8 +105,7 @@ class ControllerGains:
 def pd_step(position, velocity, target_position, target_velocity,
             gains: ControllerGains, dt: float):
     """One semi-implicit PD step; works on any matching array shapes."""
-    if dt <= 0.0:
-        raise ScenarioError("dt must be positive")
+    check_range("dt", dt, 0.0, ends="(]")
     accel = gains.kp * (target_position - position) + \
         gains.kd * (target_velocity - velocity)
     velocity = velocity + dt * accel
@@ -141,9 +134,8 @@ def time_grid(duration: float, dt: float, n_agents: int = 1) -> np.ndarray:
     """Samples 0, dt, ..., duration; their count is checked against the stack
     budget of `n_agents` (`qp.check_stack`) before the grid is built."""
     duration, dt = float(duration), float(dt)  # a ratio that overflows reads inf, unwarned
-    if not (0.0 < dt <= MAX_COORDINATE and 0.0 < duration <= MAX_COORDINATE):
-        raise ScenarioError(f"duration and dt must be positive and finite, at most "
-                            f"{MAX_COORDINATE:.6g}, got {duration} and {dt}")
+    check_range("duration", duration, 0.0, ends="(]")
+    check_range("dt", dt, 0.0, ends="(]")
     check_stack(duration / dt + 1.0, n_agents)
     n = int(round(duration / dt))
     if abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
@@ -208,8 +200,8 @@ def run_simulation(team: TeamConfiguration, weights: LayerWeights,
             over = np.flatnonzero(~np.isfinite(err) | (err > limit))
             if over.size:
                 raise NumericalError(
-                    f"simulation diverged at t={t_grid[a + over[0]]:.3f}: "
-                    f"tracking error {err[over[0]]:.3f} exceeds {limit:.3f}")
+                    f"simulation diverged at t={t_grid[a + over[0]]:.6g}: "
+                    f"tracking error {err[over[0]]:.6g} exceeds {limit:.6g}")
 
     min_des = closest_pairs(desired)[0]
     min_act = closest_pairs(actual)[0]

@@ -28,6 +28,30 @@ MAX_COORDINATE = 2.0 ** 200
 MIN_COORDINATE = 2.0 ** -200
 
 
+def in_range(x, lo: float = -MAX_COORDINATE, hi: float = MAX_COORDINATE,
+             ends: str = "[]"):
+    """Mask of the entries of x inside the interval from lo to hi, each end
+    closed ("[", "]") or open ("(", ")"); nan is never inside. A Python
+    number is compared as it is, so an int of any size compares exactly."""
+    if not isinstance(x, (int, float)):
+        x = np.asarray(x, dtype=float)
+    return (x > lo if ends[0] == "(" else x >= lo) & (x < hi if ends[1] == ")" else x <= hi)
+
+
+def check_range(name: str, value, lo: float = -MAX_COORDINATE, hi: float = MAX_COORDINATE,
+                ends: str = "[]", error: type = ScenarioError) -> None:
+    """Refuse a number or an array unless every entry is `in_range(lo, hi, ends)`,
+    with the one message shape of the input range: "<name> must be in [lo, hi],
+    got <the first entry outside>"."""
+    scalar = isinstance(value, (int, float))
+    inside = in_range(value, lo, hi, ends)
+    if inside if scalar else inside.all():
+        return
+    bad = value if scalar else np.asarray(value, dtype=float).flat[inside.argmin()]
+    lo, hi = (f"{end:.6g}" if isinstance(end, float) else end for end in (lo, hi))
+    raise error(f"{name} must be in {ends[0]}{lo}, {hi}{ends[1]}, got {bad}")
+
+
 @dataclass(frozen=True)
 class SafetyParameters:
     """Margins driving the admissible scale-factor window.
@@ -85,8 +109,7 @@ class LayerPartition:
 
     def nested(self, k: int) -> tuple[int, ...]:
         """Sorted agent ids of W_k (union of new-agent sets 1..k), 1-based k."""
-        if not 1 <= k <= self.depth:
-            raise ScenarioError(f"layer index {k} outside 1..{self.depth}")
+        check_range("layer index", k, 1, self.depth)
         ids: set[int] = set()
         for s in self.new_sets[:k]:
             ids.update(s)

@@ -148,6 +148,15 @@ def test_explicit_weights_validation(square_team):
     with pytest.raises(sd.ScenarioError, match="not row-stochastic"):
         sd.build_layer_weights(square_team, bad_sum)
 
+    # rows that sum to 1 with a weight outside [0, 1]
+    negative = WeightsSettings(mode="explicit", matrices=(
+        (2, {6: {5: 1.5, 1: -0.5}, 7: {5: 1.0}, 8: {5: 1.0}, 9: {5: 1.0}}),
+        (3, {10: {6: 1.0}, 11: {7: 1.0}, 12: {8: 1.0}, 13: {9: 1.0}}),
+    ))
+    with pytest.raises(sd.ScenarioError,
+                       match=r"^layer 2 weights must be in \[-1e-12, 1\], got (1.5|-0.5)$"):
+        sd.build_layer_weights(square_team, negative)
+
     missing = WeightsSettings(mode="explicit", matrices=(
         (2, {6: {5: 1.0}, 7: {5: 1.0}, 8: {5: 1.0}}),
         (3, {10: {6: 1.0}, 11: {7: 1.0}, 12: {8: 1.0}, 13: {9: 1.0}}),

@@ -23,9 +23,9 @@ def test_safety_window_frozen_values():
 
 def test_safety_window_errors():
     safety = sd.SafetyParameters(0.1, 0.4, 101.0, 20.0)
-    with pytest.raises(sd.SafetyWindowError, match="must be positive"):
+    with pytest.raises(sd.SafetyWindowError, match=r"cell separations must be in \(0, inf\)"):
         sd.safety_window([2.0, 0.0], safety)
-    with pytest.raises(sd.SafetyWindowError, match="must be positive"):
+    with pytest.raises(sd.SafetyWindowError, match="no cell separations"):
         sd.safety_window([], safety)
     tight = sd.SafetyParameters(0.1, 0.4, 1.5, 20.0)
     with pytest.raises(sd.SafetyWindowError, match="safety window empty"):
@@ -43,7 +43,7 @@ def test_safety_window_errors():
 def test_safety_window_non_finite_raises(separations, safety):
     # max() skips a nan that is not first, and an infinite a_max opens the
     # upper edge; either would let a window through
-    with pytest.raises(sd.SafetyWindowError, match="must be finite"):
+    with pytest.raises(sd.SafetyWindowError, match=r"must be in \(0, inf\), got (nan|inf)"):
         sd.safety_window(separations, sd.SafetyParameters(*safety))
 
 
@@ -51,7 +51,7 @@ def test_alpha_bounds_infinite_a_max_raises(square_team):
     team = dataclasses.replace(square_team,
                                safety=dataclasses.replace(square_team.safety, a_max=np.inf))
     assert sd.validate_team(team).ok
-    with pytest.raises(sd.SafetyWindowError, match="must be finite"):
+    with pytest.raises(sd.SafetyWindowError, match=r"a_max and a0 must be in \(0, inf\), got inf"):
         sd.alpha_bounds(team)
 
 

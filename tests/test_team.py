@@ -1,12 +1,50 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
 
 import swarmdeform as sd
 from swarmdeform import scenario
-from swarmdeform.team import boundary_reference_magnitude, projected_weights
+from swarmdeform.team import (MAX_COORDINATE, boundary_reference_magnitude, check_range,
+                              in_range, projected_weights)
 
 from conftest import SCENARIO_DIR, leaders_only_team
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0 * MAX_COORDINATE,
+                                   -2.0 * MAX_COORDINATE])
+@pytest.mark.parametrize("form", ["scalar", "array"])
+def test_check_range_refuses_beyond_the_magnitude_bound(value, form):
+    # nan is never in range, whatever the interval; the message names the
+    # input and the first entry outside
+    x = value if form == "scalar" else np.array([[0.0, 1.0], [value, np.nan]])
+    with pytest.raises(sd.ScenarioError, match=rf"^x must be in \[-1.60694e\+60, 1.60694e\+60\], "
+                                               rf"got {re.escape(str(value))}$"):
+        check_range("x", x)
+    assert not in_range(value)
+    with pytest.raises(sd.ScenarioError, match=r"must be in \(-inf, inf\), got nan"):
+        check_range("x", [1.0, np.nan], -np.inf, np.inf, "()")
+
+
+@pytest.mark.parametrize("ends", ["[]", "[)", "(]", "()"])
+@pytest.mark.parametrize("form", ["scalar", "array"])
+def test_check_range_ends_are_closed_or_open(ends, form):
+    lo, hi = -2.0, 3.0
+    for end, value in ((0, lo), (1, hi)):
+        closed = ends[end] in "[]"
+        x = value if form == "scalar" else np.array([0.5, value])
+        assert bool(np.all(in_range(x, lo, hi, ends))) == closed
+        if closed:
+            check_range("x", x, lo, hi, ends)
+        else:
+            with pytest.raises(sd.ScenarioError, match=rf"^x must be in \{ends[0]}-2, 3\{ends[1]}, "
+                                                       rf"got {value}$"):
+                check_range("x", x, lo, hi, ends)
+    # integers of any size compare exactly, and the bounds print as given
+    check_range("id", 10**400 - 10**400 + 7, 1, 13)
+    with pytest.raises(sd.SafetyWindowError, match=r"^id must be in \[1, 13\], got 10{400}$"):
+        check_range("id", 10**400, 1, 13, error=sd.SafetyWindowError)
 
 
 def test_projected_weights_vertices_exact():
