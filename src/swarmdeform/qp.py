@@ -10,8 +10,10 @@ active-set iteration. Because every row touches one coordinate, the KKT
 multipliers follow from the gradient exactly (`_residuals`).
 
 H and the box are the same at every sample of a mission; only k and b_eq
-follow the desired shift. `alpha_schedule` therefore solves all samples
-in one stack, and `solve_box_eq_qp` is the one-sample case of the same code.
+follow the desired shift. A `QpProblem` is the problem of one shift or of a
+whole mission, one row of k and b_eq per sample, and one solve runs every row:
+`alpha_schedule` solves a mission's problem, `solve_box_eq_qp` and
+`kkt_residual` take a one-shift problem.
 
 Two scaling modes build the quadratic term:
 
@@ -46,8 +48,8 @@ MAX_STACK_DOUBLES = 2**28
 @dataclass(frozen=True, eq=False)
 class QpProblem:
     h: np.ndarray
-    k: np.ndarray
-    b_eq: np.ndarray        # pinned values [0, s] of [alpha_core, shift]
+    k: np.ndarray           # (dim,) for one shift, (n, dim) for a mission
+    b_eq: np.ndarray        # pinned values [0, s] of [alpha_core, shift], (4,) or (n, 4)
     n_pl: int
     zeta: float
     scaling: str
@@ -85,7 +87,8 @@ class QpSolution:
 def assemble_problem(r: np.ndarray, s_desired: np.ndarray,
                      bounds: tuple[float, float], zeta: float = 1e-6,
                      scaling: str = "consistent") -> QpProblem:
-    """Build H, k and the pinned values b_eq for one trajectory sample.
+    """Build H, k and the pinned values b_eq for one desired shift (3,) or a
+    mission's stack of them (n, 3), one row of k and b_eq per shift.
 
     `r` is the output layer R (3, n_pl + 3) of `compose_delta_rows`.
     """
@@ -100,8 +103,8 @@ def assemble_problem(r: np.ndarray, s_desired: np.ndarray,
     if alpha_min > alpha_max:
         raise ScenarioError(f"infeasible alpha bounds: {alpha_min} > {alpha_max}")
     s_desired = np.asarray(s_desired, dtype=float)
-    if s_desired.shape != (3,):
-        raise ScenarioError("desired shift must be an [x, y, z] triple")
+    if s_desired.shape[-1:] != (3,) or s_desired.ndim > 2:
+        raise ScenarioError("desired shift must be an [x, y, z] triple or a stack of them")
     check_range("desired shift", s_desired)
 
     dim = r.shape[1]
@@ -149,18 +152,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _box_active_set(q: np.ndarray, c: np.ndarray, lo: float,
-                    hi: float) -> tuple[np.ndarray, np.ndarray | int]:
+                    hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Minimize 0.5 y'Qy + c'y over the box [lo, hi]^m, Q positive definite.
 
-    `c` is one linear term (m,) or a stack (n, m). Every row runs its own
-    primal active-set iteration and all rows advance together; a row drops
-    out once it converges. Returns the minimizers in the shape of `c` and the
-    iteration count of each row.
+    `c` is a stack of linear terms (n, m). Every row runs its own primal
+    active-set iteration and all rows advance together; a row drops out once
+    it converges. Returns the minimizers (n, m) and the iteration count of
+    each row.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim == 1:
-        y, iterations = _box_active_set(q, c[None], lo, hi)
-        return y[0], int(iterations[0])
     n, m = c.shape
     iterations = np.zeros(n, dtype=int)
     if m == 0 or lo == hi:
@@ -214,17 +214,6 @@ def _box_active_set(q: np.ndarray, c: np.ndarray, lo: float,
     raise NumericalError("box active-set solve did not converge")
 
 
-@dataclass(frozen=True, eq=False)
-class _Solved:
-    """Planner QP solutions for a stack of linear terms, one row per sample."""
-
-    x: np.ndarray           # (n, dim)
-    objective: np.ndarray   # (n,)
-    kkt: np.ndarray         # (n, 3) stationarity/primal/complementarity
-    active: np.ndarray      # (n, 2 n_free) box rows with slack <= 1e-9
-    iterations: np.ndarray  # (n,)
-
-
 def _residuals(problem: QpProblem, x: np.ndarray, k: np.ndarray, b_eq: np.ndarray,
                at_lo: np.ndarray, at_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """KKT residuals (n, 3) at points x (n, dim) and their active box rows.
@@ -248,13 +237,15 @@ def _residuals(problem: QpProblem, x: np.ndarray, k: np.ndarray, b_eq: np.ndarra
     return np.stack([stationarity, primal, complementarity], axis=1), slack <= 1e-9
 
 
-def _solve_stack(problem: QpProblem, k: np.ndarray, b_eq: np.ndarray) -> _Solved:
-    """Solve `problem` once per row of k (n, dim) and b_eq (n, 4).
+def _solve(problem: QpProblem) -> tuple[np.ndarray, ...]:
+    """Solve every row of `problem`, one row for a one-shift problem.
 
-    H and the box are shared; the problem's own k and b_eq are not used.
+    Returns x (n, dim), the objective (n,), the KKT residuals (n, 3), the box
+    rows with slack <= 1e-9 (n, 2 n_free) and the iteration counts (n,).
     """
     n_free = problem.n_pl - 1
     h, lo, hi = problem.h, problem.alpha_min, problem.alpha_max
+    k, b_eq = np.atleast_2d(problem.k, problem.b_eq)
     x = np.empty(k.shape)
     x[:, n_free:] = b_eq
     c_red = k[:, :n_free] + _dot(h[:n_free, n_free:], b_eq[:, None, :])
@@ -263,16 +254,21 @@ def _solve_stack(problem: QpProblem, k: np.ndarray, b_eq: np.ndarray) -> _Solved
     kkt, active = _residuals(problem, x, k, b_eq, (y == lo) | (lo == hi),
                              (y == hi) | (lo == hi))
     objective = 0.5 * _dot(x, _dot(h, x[:, None, :])) + _dot(k, x)
-    return _Solved(x, objective, kkt, active, iterations)
+    return x, objective, kkt, active, iterations
+
+
+def _one_shift(problem: QpProblem) -> None:
+    if problem.k.ndim != 1:
+        raise ValueError(f"expected the problem of one desired shift, got a mission "
+                         f"of {problem.k.shape[0]}")
 
 
 def solve_box_eq_qp(problem: QpProblem) -> QpSolution:
-    """Solve the planner QP; the returned KKT residuals use exact multipliers."""
-    out = _solve_stack(problem, problem.k[None], problem.b_eq[None])
-    stationarity, primal, complementarity = (float(v) for v in out.kkt[0])
-    active = tuple(int(i) for i in np.flatnonzero(out.active[0]))
-    return QpSolution(out.x[0], float(out.objective[0]), stationarity, primal,
-                      complementarity, active, int(out.iterations[0]))
+    """Solve a one-shift planner QP; the KKT residuals use exact multipliers."""
+    _one_shift(problem)
+    x, objective, kkt, active, iterations = _solve(problem)
+    return QpSolution(x[0], float(objective[0]), *(float(v) for v in kkt[0]),
+                      tuple(int(i) for i in np.flatnonzero(active[0])), int(iterations[0]))
 
 
 def kkt_residual(problem: QpProblem, x: np.ndarray) -> tuple[float, float, float]:
@@ -281,8 +277,9 @@ def kkt_residual(problem: QpProblem, x: np.ndarray) -> tuple[float, float, float
     A box row counts as active where its slack is at most KKT_ACTIVE_TOL
     (inside, on or outside the box); its multiplier is the best
     nonnegative fit to the gradient, so the stationarity figure is the best
-    achievable for this point.
+    achievable for this point. `problem` is a one-shift problem.
     """
+    _one_shift(problem)
     x = np.asarray(x, dtype=float)[None]
     y = x[:, :problem.n_pl - 1]
     kkt, _ = _residuals(problem, x, problem.k[None], problem.b_eq[None],
@@ -318,22 +315,17 @@ def alpha_schedule(team: TeamConfiguration, weights: LayerWeights, trajectory,
                    average: str = "all") -> Schedule:
     """Solve the planner QP at every sample of `t_grid`, all samples in one stack.
 
-    H and the constraints are the same at every sample; only k and b_eq
-    follow the desired shift, sampled in one `trajectory.position(t_grid)`
-    call. Each row equals `solve_box_eq_qp` on
+    The mission is one problem, its shifts sampled in one
+    `trajectory.position(t_grid)` call. Each row equals `solve_box_eq_qp` on
     `assemble_problem(r, trajectory.position(t))` bit for bit wherever that
     call's rows equal the one-t calls, as they do on the shipped trajectories.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     check_stack(t_grid.size, team.n_agents)
     r = compose_delta_rows(team, weights, average)
-    shifts = np.asarray(trajectory.position(t_grid), dtype=float)
-    if shifts.shape != (t_grid.size, 3):
-        raise ScenarioError("desired shifts must be one [x, y, z] triple per sample")
-    check_range("desired shift", shifts)
-    problem = assemble_problem(r, np.zeros(3), bounds, zeta, scaling)
-    out = _solve_stack(problem, *_linear_terms(r, shifts))
+    problem = assemble_problem(r, trajectory.position(t_grid), bounds, zeta, scaling)
+    x, objective, kkt, active, iterations = _solve(problem)
     n_pl = problem.n_pl
-    return Schedule(t_grid.copy(), out.x[:, :n_pl], out.x[:, n_pl:], out.objective,
-                    out.kkt, float(bounds[0]), float(bounds[1]), zeta, scaling,
-                    out.iterations, out.active.sum(axis=1))
+    return Schedule(t_grid.copy(), x[:, :n_pl], x[:, n_pl:], objective, kkt,
+                    problem.alpha_min, problem.alpha_max, zeta, scaling, iterations,
+                    active.sum(axis=1))

@@ -89,14 +89,12 @@ def cell_blocks(team: TeamConfiguration) -> tuple[np.ndarray, np.ndarray, np.nda
     return np.array(index), np.array(b1), np.array(b2)
 
 
-def _nonsingular(sv: np.ndarray) -> np.ndarray:
-    """`sv`, descending singular values (..., 3), unless a Jacobian is singular:
+def _singular(sv: np.ndarray) -> np.ndarray:
+    """Where descending singular values `sv` (..., 3) are a singular Jacobian's:
     sigma_1 sigma_2 sigma_3 <= 1e-12 sigma_1**3, tested on the ratios to sigma_1
-    so it cannot overflow (sigma_1 = 0, the zero matrix, divides by 1). A nan passes."""
+    so it cannot overflow (sigma_1 = 0, the zero matrix, divides by 1). A nan is not."""
     ratio = sv[..., 1:] / np.where(sv[..., :1] == 0.0, 1.0, sv[..., :1])
-    if np.any(ratio[..., 0] * ratio[..., 1] <= 1e-12):
-        raise NumericalError("deformation Jacobian is singular")
-    return sv
+    return ratio[..., 0] * ratio[..., 1] <= 1e-12
 
 
 def pure_deformation_spectrum(q: np.ndarray) -> np.ndarray:
@@ -105,7 +103,10 @@ def pure_deformation_spectrum(q: np.ndarray) -> np.ndarray:
     # first: LAPACK's answer to a nan or an inf varies by build
     if not np.isfinite(q).all():
         raise NumericalError("deformation Jacobian is not finite")
-    return _nonsingular(np.linalg.svd(q, compute_uv=False))
+    sv = np.linalg.svd(q, compute_uv=False)
+    if np.any(_singular(sv)):
+        raise NumericalError("deformation Jacobian is singular")
+    return sv
 
 
 # unused in the package, kept because the benchmark tracer (perfbench/) wraps
@@ -124,6 +125,8 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
     h = hypot(p + s, q - r) / 2 and g = hypot(p - s, q + r) / 2. A scale
     outside `team.in_range`, inf included, reads as nan, so every value of its cell is
     nan; the rest stay finite, as block entries are at most 1 / sin(core angle) < 1e6.
+    A singular cell (`_singular`), which `pure_deformation_spectrum` refuses, reads
+    nan too, so the margin gate fails and the window gate names a scale outside.
     """
     index, b1, b2 = cell_blocks(team)
     alpha = np.where(in_range(alpha), alpha, np.nan)
@@ -132,8 +135,9 @@ def _cell_spectra(team: TeamConfiguration, alpha: np.ndarray) -> np.ndarray:
     h = 0.5 * np.hypot(p + s, q - r)
     g = 0.5 * np.hypot(p - s, q + r)
     big, small = h + g, np.abs(h - g)
-    return _nonsingular(np.stack([np.maximum(big, 1.0), np.maximum(small, np.minimum(big, 1.0)),
-                                  np.minimum(small, 1.0)], axis=-1))
+    sv = np.stack([np.maximum(big, 1.0), np.maximum(small, np.minimum(big, 1.0)),
+                   np.minimum(small, 1.0)], axis=-1)
+    return np.where(_singular(sv)[..., None], np.nan, sv)
 
 
 # Distance sweep. `closest_pairs` routes each sample once, by its largest

@@ -234,9 +234,9 @@ def test_stacked_box_solve_matches_rows_and_bvls(case):
     y, iterations = _box_active_set(q, c, lo, hi)
     assert y.shape == c.shape and iterations.shape == (c.shape[0],)
     for i, row in enumerate(c):
-        y_row, it_row = _box_active_set(q, row, lo, hi)
-        assert y_row.tobytes() == y[i].tobytes()
-        assert it_row == iterations[i]
+        y_row, it_row = _box_active_set(q, row[None], lo, hi)
+        assert y_row[0].tobytes() == y[i].tobytes()
+        assert it_row[0] == iterations[i]
     if c.shape[1] == 0 or lo == hi:
         assert np.all(y == lo) and np.all(iterations == 0)
         return

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
 import swarmdeform as sd
-from swarmdeform.qp import KKT_ACTIVE_TOL, _box_active_set
+from swarmdeform.qp import KKT_ACTIVE_TOL, _box_active_set, _solve
 from swarmdeform.team import MAX_COORDINATE
 
 from conftest import grid_search_solution, random_planner_instance
@@ -128,9 +128,9 @@ def test_interior_solution_matches_equality_kkt_oracle():
 def test_active_set_release_hand_case():
     q = np.array([[1.0, -0.9], [-0.9, 1.0]])
     c = np.array([-0.5, 0.05])
-    x, iters = _box_active_set(q, c, 0.0, 1.0)
-    assert np.allclose(x, [1.0, 0.85], atol=1e-12)
-    assert iters >= 2
+    x, iters = _box_active_set(q, c[None], 0.0, 1.0)
+    assert np.allclose(x[0], [1.0, 0.85], atol=1e-12)
+    assert iters[0] >= 2
 
 
 def test_overflowing_step_ratio_does_not_block():
@@ -139,8 +139,8 @@ def test_overflowing_step_ratio_does_not_block():
     q = np.array([[2.0, 2.2250738585072014e-308], [2.2250738585072014e-308, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, _ = _box_active_set(q, np.array([0.0, 0.5]), 0.0, 1.0)
-    assert np.array_equal(x, [0.0, 0.0])
+        x, _ = _box_active_set(q, np.array([[0.0, 0.5]]), 0.0, 1.0)
+    assert np.array_equal(x[0], [0.0, 0.0])
 
 
 def test_box_solver_against_cholesky_least_squares():
@@ -153,11 +153,11 @@ def test_box_solver_against_cholesky_least_squares():
         q = a @ a.T + 0.1 * np.eye(n)
         c = rng.normal(size=n)
         lo, hi = sorted(rng.normal(size=2))
-        x, _ = _box_active_set(q, c, lo, hi)
+        x, _ = _box_active_set(q, c[None], lo, hi)
         ell = np.linalg.cholesky(q)
         w = np.linalg.solve(ell, -c)
         ref = lsq_linear(ell.T, w, bounds=(lo, hi), method="bvls").x
-        assert np.max(np.abs(x - ref)) < 1e-9
+        assert np.max(np.abs(x[0] - ref)) < 1e-9
 
 
 def test_random_instances_match_grid_search():
@@ -228,6 +228,42 @@ def test_kkt_residual_matches_nnls_oracle(seed, collapse, off_pinned, where):
     x = np.concatenate([y, pinned])
     got = sd.kkt_residual(problem, x)
     assert np.max(np.abs(np.subtract(got, nnls_kkt_oracle(problem, x)))) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), scaling=st.sampled_from(sd.qp.SCALING_MODES),
+       factors=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.9, 1.1, 3.0]), min_size=1,
+                        max_size=6),
+       noise=st.sampled_from([0.0, 0.01, 0.3]), collapse=st.booleans())
+def test_mission_problem_equals_its_samples_problems(seed, scaling, factors, noise, collapse):
+    # a mission's problem stacks the rows of its samples' one-shift problems,
+    # and its one solve gives each row what solve_box_eq_qp gives that sample,
+    # bit for bit; rows repeat, sit at zero, inside the box or far outside it
+    rng = np.random.default_rng(seed)
+    rows, s, bounds = random_planner_instance(rng)
+    if collapse:
+        bounds = (bounds[0], bounds[0])
+    shifts = np.outer(factors, s) + rng.normal(scale=noise, size=(len(factors), 3))
+    mission = sd.assemble_problem(rows, shifts, bounds, scaling=scaling)
+    x, objective, kkt, active, iterations = _solve(mission)
+    assert mission.k.shape == (len(factors), mission.dim)
+    assert mission.b_eq.shape == (len(factors), 4)
+    for i, shift in enumerate(shifts):
+        one = sd.assemble_problem(rows, shift, bounds, scaling=scaling)
+        assert one.h.tobytes() == mission.h.tobytes()
+        assert one.k.tobytes() == mission.k[i].tobytes()
+        assert one.b_eq.tobytes() == mission.b_eq[i].tobytes()
+        sol = sd.solve_box_eq_qp(one)
+        assert sol.x.tobytes() == x[i].tobytes()
+        assert sol.objective == objective[i]
+        assert np.array_equal(sol.kkt, kkt[i])
+        assert sol.iterations == iterations[i]
+        assert sol.active_set == tuple(np.flatnonzero(active[i]))
+        assert max(sol.kkt) <= 1e-8
+    # the one-shift entry points refuse a mission rather than read its row 0
+    for call in (lambda: sd.solve_box_eq_qp(mission), lambda: sd.kkt_residual(mission, x[0])):
+        with pytest.raises(ValueError, match="one desired shift"):
+            call()
 
 
 def test_square_schedule_rows_pass_kkt_residual(square_team, square_weights,

@@ -521,14 +521,32 @@ def test_certify_window_edge_is_admissible(square_team, square_weights,
     assert sd.certify_configuration(square_team, edge, desired).verdict
 
 
-def test_certify_singular_jacobian_raises(square_team, square_weights, square_certification):
-    schedule, _ = square_certification
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 1e7])
+def test_certify_singular_jacobian_is_unsafe(square_team, square_weights, square_certification,
+                                             scale):
+    # a singular cell reads nan in every lambda, as an out-of-range scale
+    # does, so the margin gate fails; pure_deformation_spectrum still raises.
+    # A scale at 0 or far above the window is named by the window gate too
+    schedule, desired = square_certification
+    base = sd.certify_configuration(square_team, schedule, desired)
     alpha = schedule.alpha.copy()
-    alpha[3, 0] = 0.0
+    alpha[3, 0] = scale
     collapsed = dataclasses.replace(schedule, alpha=alpha)
     desired = sd.trajectory_positions(square_team, square_weights, alpha, collapsed.shift)
-    with pytest.raises(sd.NumericalError, match="deformation Jacobian is singular"):
-        sd.certify_configuration(square_team, collapsed, desired)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = sd.certify_configuration(square_team, collapsed, desired)
+    singular = np.zeros(report.margins.shape, dtype=bool)
+    singular[3] = [1 in cell.vertices for cell in square_team.cells]
+    assert np.isnan(report.lambdas[singular]).all()
+    assert np.array_equal(report.lambdas[~singular], base.lambdas[~singular])
+    assert not report.margins_ok and not report.verdict
+    assert report.worst_margin_index == 3
+    assert report.worst_margin_cell == square_team.cells[np.argmax(singular[3])].cell_id
+    if scale == 1e-12:
+        assert report.window_ok
+    else:
+        assert (report.window_index, report.window_alpha) == (3, scale)
 
 
 def test_certified_spectra_of_folded_cells_match_svd(square_team, square_certification):
