@@ -6,7 +6,7 @@
 exits 1 if any row fails.
 
 A row edits a base, a shipped scenario ("square13" or "helix67") at key
-paths, runs a command on it and names the exit code and the message line the
+paths and may write bytes before it, runs a command on it and names the exit code and the message line the
 run must end in. A row with trace edits also writes square13's planner trace
 over 5 s, edits it at (sample, column) or drops a column (column: None), and
 certifies it against the edited scenario. The message is the whole stdout on
@@ -45,6 +45,7 @@ class Row(NamedTuple):
     # (sample, column) -> field, or column -> None to drop it, in square13's
     # planner trace over 5 s, which the run takes as --schedule; None: no trace
     trace: dict | None = None
+    preamble: bytes = b""    # written before the edited base
 
 
 def _square_scaled_by(factor):
@@ -230,6 +231,8 @@ VALUES = [
     Row("n_agents", {("team", "n_agents"): "many"}, NOT_INT + "'many'"),
     Row("alpha-max-list", {("qp", "alpha_bounds", "max"): [1]},
         MALFORMED + "float() argument must be a string or a real number, not 'list'"),
+    Row("non-utf8", {}, "cannot read scenario {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 2: invalid start byte", preamble=b"# \xff\n"),
 ]
 
 # bad gains are bad input, not a diverged simulation (exit 3)
@@ -307,7 +310,7 @@ def prepare(row: Row, directory: Path, run) -> tuple[list[str], Path]:
     `directory`; return the arguments to run and the path of the row's file,
     the trace if it has one. `run(argv)` runs the program, to write the trace."""
     config = SCENARIOS / f"{row.base}.yaml"
-    if row.edits:
+    if row.edits or row.preamble:
         doc = yaml.safe_load(config.read_text())
         for path, value in row.edits.items():
             node = doc
@@ -315,7 +318,7 @@ def prepare(row: Row, directory: Path, run) -> tuple[list[str], Path]:
                 node = node[key]
             node[path[-1]] = value
         config = directory / "bad.yaml"
-        config.write_text(yaml.safe_dump(doc))
+        config.write_bytes(row.preamble + yaml.safe_dump(doc).encode())
     argv = [row.argv[0], "--config", str(config), *row.argv[1:]]
     if row.trace is None:
         return argv, config

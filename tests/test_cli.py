@@ -145,12 +145,9 @@ def test_bad_config_exit_code(capsys, tmp_path):
     assert main(["plan", "--config", str(not_a_scenario)]) == 2
     assert "unsupported scenario schema" in capsys.readouterr().err
 
-    non_utf8 = tmp_path / "bad.yaml"
-    non_utf8.write_bytes(b"# \xff\n" + (SCENARIO_DIR / "square13.yaml").read_bytes())
-    assert main(["plan", "--config", str(non_utf8)]) == 2
-    captured = capsys.readouterr()
-    assert f"error: cannot read scenario {non_utf8}" in captured.err
-    assert captured.out == ""
+
+def test_plan_empty_window_exit_code(capsys, tmp_path):
+    _run_rows(capsys, tmp_path, "other", "empty-window")
 
 
 def test_infeasible_bound_overrides(capsys, tmp_path):
@@ -191,10 +188,10 @@ def test_certify_infinite_scale_is_unsafe(capsys, tmp_path):
     _run_rows(capsys, tmp_path, "trace", "inf-scale")
 
 
-# the boundary-scale case is bad_inputs.OTHER's huge-scale-trace row
-@pytest.mark.parametrize("column", ["shift"])
-def test_certify_huge_schedule_value_is_unsafe(capsys, tmp_path, column):
-    _run_rows(capsys, tmp_path, "trace", f"huge-{column}")
+@pytest.mark.parametrize("group, name", [("other", "huge-scale-trace"), ("trace", "huge-shift")],
+                         ids=["boundary-scale", "shift"])
+def test_certify_huge_schedule_value_is_unsafe(capsys, tmp_path, group, name):
+    _run_rows(capsys, tmp_path, group, name)
 
 
 # the rows of tests/bad_inputs.py, which CI also runs on the console script;
@@ -213,6 +210,15 @@ def test_out_of_range_mission_number_exit_code(capsys, tmp_path, row):
 @_group("other")
 def test_bad_input_exit_code(capsys, tmp_path, row):
     _run_row(row, tmp_path, capsys)
+
+
+def test_certify_planner_trace_without_shift_exit_code(capsys, tmp_path):
+    # the old reader ended here in an IndexError
+    _run_rows(capsys, tmp_path, "other", "no-shift-trace")
+
+
+def test_diverging_simulation_exit_code(capsys, tmp_path):
+    _run_rows(capsys, tmp_path, "other", "diverging-gains")
 
 
 def test_malformed_scenario_exit_code(capsys, tmp_path):
@@ -234,10 +240,13 @@ def test_certify_malformed_trace_exit_code(capsys, tmp_path):
     assert "malformed trace file" in captured.err
 
 
-@pytest.mark.parametrize("edit", ["reversed", "all-zero"])
+@pytest.mark.parametrize("edit", ["nan", "reversed", "all-zero"])
 def test_certify_planner_trace_with_bad_times_exit_code(capsys, tmp_path, edit):
     # each copy certified SAFE before: the reader looked at no time, so the
     # samples could come out of order, twice, or at no time at all
+    if edit == "nan":
+        _run_rows(capsys, tmp_path, "other", "nan-time-trace")
+        return
     trace = tmp_path / "plan.csv"
     assert main(["plan", "--config", SQUARE, "--out", str(trace), "--T", "5"]) == 0
     header, *rows = [line.split(",") for line in trace.read_text().splitlines()]
